@@ -196,14 +196,14 @@ emitAffineNest(CWriter &w, const AccessWalkPlan &plan,
 
 /**
  * Emit the mapped execution nest of an ExecPlan — the closed form of
- * runMappedWalkRange: outer axis loops, per-group tile-start flats
+ * its mapped sweeps: outer axis loops, per-group tile-start flats
  * and padding clamps, then one counter loop per group whose software
  * digits are decoded from the fused flat value (skipped entirely when
- * every operand's digit coefficients are proportional to the digit
- * strides, in which case the contribution is alpha * flat and stays
- * linear in the counter). Addresses are pure functions of
- * (axes, counters), so the emitted nest visits exactly the walker's
- * tuples in exactly its order.
+ * the plan's linearity table, Operand::groupAlpha, gives every
+ * operand an alpha for the group: the contribution is then
+ * alpha * flat and stays linear in the counter). Addresses are pure
+ * functions of (axes, counters), so the emitted nest visits exactly
+ * the walker's tuples in exactly its order.
  */
 void
 emitMappedNest(CWriter &w, const ExecPlan &plan,
@@ -233,43 +233,6 @@ emitMappedNest(CWriter &w, const ExecPlan &plan,
                            std::size_t a) -> std::int64_t {
         return a < ops[m]->outerStride.size() ? ops[m]->outerStride[a]
                                               : 0;
-    };
-
-    // Per-group digit strides within the fused flat value, and
-    // whether flat values are guaranteed in-range for a closed-form
-    // linear decode (always true for well-formed plans).
-    std::vector<std::vector<std::int64_t>> dstr(K);
-    std::vector<bool> canLinear(K, false);
-    for (std::size_t k = 0; k < K; ++k) {
-        const auto &g = groups[k];
-        dstr[k].assign(g.members.size(), 1);
-        std::int64_t prod = 1;
-        for (std::size_t pos = g.members.size(); pos-- > 0;) {
-            if (pos + 1 < g.members.size())
-                dstr[k][pos] = dstr[k][pos + 1] * g.extents[pos + 1];
-            prod *= g.extents[pos];
-        }
-        canLinear[k] = g.fusedExtent <= prod;
-    }
-    // alpha such that digit contribution == alpha * flat, or nullopt.
-    auto linearAlpha =
-        [&](std::size_t m,
-            std::size_t k) -> std::optional<std::int64_t> {
-        const auto &g = groups[k];
-        if (g.members.empty())
-            return 0;
-        bool anyNonZero = false;
-        for (auto s : g.members)
-            anyNonZero = anyNonZero || swCoeff(m, s) != 0;
-        if (!anyNonZero)
-            return 0;
-        if (!canLinear[k])
-            return std::nullopt;
-        const std::int64_t alpha = swCoeff(m, g.members.back());
-        for (std::size_t pos = 0; pos < g.members.size(); ++pos)
-            if (swCoeff(m, g.members[pos]) != alpha * dstr[k][pos])
-                return std::nullopt;
-        return alpha;
     };
 
     std::vector<std::string> part(M);
@@ -361,7 +324,7 @@ emitMappedNest(CWriter &w, const ExecPlan &plan,
         std::vector<std::optional<std::int64_t>> alpha(M);
         bool needDecode = false;
         for (std::size_t m = 0; m < M; ++m) {
-            alpha[m] = linearAlpha(m, k);
+            alpha[m] = ops[m]->groupAlpha[k];
             needDecode = needDecode || !alpha[m];
         }
         auto digitVar = [&](std::size_t pos) {

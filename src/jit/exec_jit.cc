@@ -17,25 +17,10 @@ namespace amos {
 
 namespace {
 
-/**
- * The emitted kernels declare their operand pointers restrict, so an
- * output buffer aliasing an input would be undefined behaviour — the
- * tier declines and the (alias-safe) stride walk runs instead.
- */
-bool
-outputAliasesInput(const Buffer &output,
-                   const std::vector<const Buffer *> &inputs)
-{
-    const char *ob = static_cast<const char *>(output.rawData());
-    const char *oe = ob + output.storageBytes();
-    for (const Buffer *in : inputs) {
-        const char *b = static_cast<const char *>(in->rawData());
-        const char *e = b + in->storageBytes();
-        if (b < oe && ob < e)
-            return true;
-    }
-    return false;
-}
+// The emitted kernels declare their operand pointers restrict, so an
+// output buffer aliasing an input (outputAliasesInput) would be
+// undefined behaviour — the tier declines and the (alias-safe) stride
+// walk runs instead.
 
 bool
 compileAndRun(const std::string &source,

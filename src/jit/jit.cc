@@ -83,20 +83,25 @@ JitEngine::global()
 }
 
 std::uint64_t
-JitEngine::fnv1a(const std::string &data)
+JitEngine::fnv1a(std::string_view data, std::uint64_t hash)
 {
-    std::uint64_t h = 14695981039346656037ULL;
     for (unsigned char c : data) {
-        h ^= c;
-        h *= 1099511628211ULL;
+        hash ^= c;
+        hash *= 1099511628211ULL;
     }
-    return h;
+    return hash;
 }
 
 std::uint64_t
 JitEngine::keyFor(const std::string &source) const
 {
-    return fnv1a(_opts.compiler + "\n" + _opts.flags + "\n" + source);
+    // FNV-1a of "compiler\nflags\nsource", streamed part by part so
+    // the (possibly large) kernel text is never copied.
+    std::uint64_t h = fnv1a(_opts.compiler);
+    h = fnv1a("\n", h);
+    h = fnv1a(_opts.flags, h);
+    h = fnv1a("\n", h);
+    return fnv1a(source, h);
 }
 
 std::string

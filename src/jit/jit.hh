@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "codegen/exec_c.hh"
 
@@ -98,8 +99,15 @@ class JitEngine
     /** On-disk .so path for `source` (test hook: corruption etc.). */
     std::string cachePathFor(const std::string &source) const;
 
-    /** FNV-1a 64-bit, exposed for cache-key tests. */
-    static std::uint64_t fnv1a(const std::string &data);
+    /// FNV-1a 64-bit offset basis: the hash of no bytes.
+    static constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ULL;
+
+    /**
+     * FNV-1a 64-bit, exposed for cache-key tests. Continues from
+     * `hash`, so fnv1a(b, fnv1a(a)) == fnv1a(a + b).
+     */
+    static std::uint64_t fnv1a(std::string_view data,
+                               std::uint64_t hash = kFnv1aBasis);
 
   private:
     struct Entry;

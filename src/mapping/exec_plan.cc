@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "ir/affine.hh"
 #include "quant/typed_exec.hh"
@@ -13,9 +14,12 @@ namespace amos {
 namespace {
 
 /**
- * Stride walk over the mapped loop nest: outer axes around per-group
- * intrinsic counters whose software coordinates are mixed-radix
- * digits of the fused flat value.
+ * Per-tile digit odometer over the mapped loop nest: outer axes
+ * around per-group intrinsic counters whose software coordinates are
+ * mixed-radix digits of the fused flat value. Only sweeps with a
+ * non-linear fused group run here; every other sweep is lowered to
+ * an AccessWalkPlan (ExecPlan::lowered) and runs on the stride
+ * walker.
  *
  * Per tile the walker decodes each group's start digits once, clamps
  * the counter to the valid (non-padding) limit, and then advances
@@ -228,134 +232,114 @@ runMappedWalkParallel(const std::vector<std::int64_t> &iterExt,
     return stats;
 }
 
-/** Stage-B arithmetic on float staging streams. */
-struct FloatStreamOps
+/**
+ * One serial mapped sweep (pack, unpack): the lowered stride walk
+ * when the plan has one, else the per-tile digit odometer.
+ */
+template <typename Body>
+WalkRunStats
+runSweep(const ExecPlan &plan, ExecPlan::Sweep sweep, Body &&body)
 {
-    using Stream = float;
-    static void
-    mulAdd(Stream *d, std::int64_t di, const Stream *x,
-           std::int64_t xi, const Stream *y, std::int64_t yi)
-    {
-        d[di] += x[xi] * y[yi];
+    WalkRunStats stats;
+    if (const auto walk = plan.lowered(sweep)) {
+        runAccessWalk(*walk, body);
+        stats.loweredSweeps = 1;
+        return stats;
     }
-    static void
-    add(Stream *d, std::int64_t di, const Stream *x, std::int64_t xi)
-    {
-        d[di] += x[xi];
-    }
-};
+    const auto ops = plan.sweepOperands(sweep);
+    runMappedWalkRange(plan.iterExtents(), plan.axes(), plan.groups(),
+                       ops.data(), ops.size(), -1, 0, 0, body);
+    stats.tiledSweeps = 1;
+    return stats;
+}
 
 /**
- * Stage-B arithmetic on int32 staging streams: the IntDot discipline
- * (int64 intermediates, wrapping int32 accumulate — identical to
- * quant::intDotStep, so packed results match the direct path bit for
- * bit).
+ * The direct sweep, split across threads on `splitAxis` (-1:
+ * serial). Outer axes are the lowered walk's leading levels, so the
+ * axis names the same level in both forms.
  */
-struct IntStreamOps
+template <typename Body>
+WalkRunStats
+runDirectSweep(const ExecPlan &plan, int splitAxis, int numThreads,
+               Body &&body)
 {
-    using Stream = std::int32_t;
-    static void
-    mulAdd(Stream *d, std::int64_t di, const Stream *x,
-           std::int64_t xi, const Stream *y, std::int64_t yi)
-    {
-        d[di] = static_cast<Stream>(
-            static_cast<std::int64_t>(d[di]) +
-            static_cast<std::int64_t>(x[xi]) * y[yi]);
+    WalkRunStats stats;
+    if (const auto walk = plan.lowered(ExecPlan::Sweep::Direct)) {
+        stats = runAccessWalkSplit(*walk, splitAxis, numThreads, body);
+        stats.loweredSweeps = 1;
+        return stats;
     }
-    static void
-    add(Stream *d, std::int64_t di, const Stream *x, std::int64_t xi)
-    {
-        d[di] = static_cast<Stream>(
-            static_cast<std::int64_t>(d[di]) + x[xi]);
-    }
-};
+    const auto ops = plan.sweepOperands(ExecPlan::Sweep::Direct);
+    stats = runMappedWalkParallel(plan.iterExtents(), plan.axes(),
+                                  plan.groups(), ops.data(), ops.size(),
+                                  splitAxis, numThreads, body);
+    stats.tiledSweeps = 1;
+    return stats;
+}
 
 /**
- * Typed packed pipeline: pack (typed, possibly widening, loads) into
- * StreamT staging buffers, affine compute on the streams, unpack
- * through the output accessor. StreamT is float for the float
- * disciplines (bf16 decodes on pack, exactly) and int32 for IntDot
- * (8-bit values widen on pack, so stage B is the exact dot).
- *
- * For SumReduce `l1` is unused; callers pass `l0` twice.
+ * Typed packed pipeline for NumInputs inputs (2: MultiplyAdd, 1:
+ * SumReduce, which passes `l0` twice): pack (typed, possibly
+ * widening, loads) into staging streams, affine compute on the
+ * streams, unpack through the output accessor. The streams are float
+ * for the float disciplines (bf16 decodes on pack, exactly) and int32
+ * for IntDot (8-bit values widen on pack, so stage B is the exact
+ * dot: int64 intermediates, wrapping int32 accumulate — identical to
+ * the direct path's, bit for bit).
  */
-template <typename Ops, typename L0, typename L1, typename OutAcc>
+template <std::size_t NumInputs, typename L0, typename L1,
+          typename OutAcc>
 WalkRunStats
 runPackedTyped(const ExecPlan &plan, const ExecOptions &opts, L0 l0,
                L1 l1, OutAcc outAcc)
 {
-    using StreamT = typename Ops::Stream;
-    const std::size_t nin = plan.numInputs();
+    constexpr bool intStreams = std::is_same_v<OutAcc, quant::I32Accum>;
+    using StreamT = std::conditional_t<intStreams, std::int32_t, float>;
+    using StreamLoader = std::conditional_t<intStreams, quant::I32Loader,
+                                            quant::FloatLoader>;
+    using StreamAccum = std::conditional_t<intStreams, quant::I32Accum,
+                                           quant::FloatAccum>;
     std::vector<std::vector<StreamT>> packed;
     for (auto sz : plan.packedSizes())
         packed.emplace_back(static_cast<std::size_t>(sz), StreamT{});
 
-    const auto &direct = plan.directOperands();
-    const auto &pops = plan.packedOperands();
-
     // Stage A (serial): pack each input's valid software points into
     // its tile stream. Operand pairs: [source, packed destination].
-    {
-        const ExecPlan::Operand *ops[kMaxWalkOperands];
-        StreamT *dst[kMaxWalkOperands / 2];
-        for (std::size_t m = 0; m < nin; ++m) {
-            ops[2 * m] = &direct[m];
-            ops[2 * m + 1] = &pops[m];
-            dst[m] = packed[m].data();
-        }
-        runMappedWalkRange(
-            plan.iterExtents(), plan.axes(), plan.groups(), ops,
-            2 * nin, -1, 0, 0, [&](const std::int64_t *a) {
-                dst[0][a[1]] = static_cast<StreamT>(l0.load(a[0]));
-                if (nin > 1)
-                    dst[1][a[3]] =
-                        static_cast<StreamT>(l1.load(a[2]));
-            });
-    }
+    StreamT *dst0 = packed[0].data();
+    StreamT *dst1 = packed[NumInputs - 1].data();
+    WalkRunStats packStats = runSweep(
+        plan, ExecPlan::Sweep::Pack,
+        withArity<2 * NumInputs>([&](const std::int64_t *a) {
+            dst0[a[1]] = static_cast<StreamT>(l0.load(a[0]));
+            if constexpr (NumInputs == 2)
+                dst1[a[3]] = static_cast<StreamT>(l1.load(a[2]));
+        }));
 
     // Stage B (parallel): intrinsic calls purely on packed streams —
     // a plain affine walk over [outer axes][intrinsic counters].
     // Padding slots hold zeros, exactly like the interpreter's sweep.
-    WalkRunStats stats;
-    {
-        const AccessWalkPlan &stageB = plan.stageB();
-        const std::size_t splitLevels = static_cast<std::size_t>(
-            plan.packedSplitLevel() < 0 ? 0
-                                        : plan.packedSplitLevel() + 1);
-        StreamT *pdst = packed.back().data();
-        const StreamT *p0 = packed[0].data();
-        switch (plan.combine()) {
-          case CombineKind::MultiplyAdd: {
-            const StreamT *p1 = packed[1].data();
-            stats = runAccessWalkParallel(
-                stageB, stageB.operands.size() - 1, splitLevels,
-                opts.numThreads, [&](const std::int64_t *a) {
-                    Ops::mulAdd(pdst, a[2], p0, a[0], p1, a[1]);
-                });
-            break;
-          }
-          case CombineKind::SumReduce:
-            stats = runAccessWalkParallel(
-                stageB, stageB.operands.size() - 1, splitLevels,
-                opts.numThreads, [&](const std::int64_t *a) {
-                    Ops::add(pdst, a[1], p0, a[0]);
-                });
-            break;
-        }
-    }
+    // The staging streams are private, so never aliased.
+    const AccessWalkPlan &stageB = plan.stageB();
+    const std::size_t splitLevels = static_cast<std::size_t>(
+        plan.packedSplitLevel() < 0 ? 0 : plan.packedSplitLevel() + 1);
+    const StreamLoader p0{packed[0].data()};
+    const StreamLoader p1{packed[NumInputs - 1].data()};
+    WalkRunStats stats = runAccessWalkParallel(
+        stageB, NumInputs, splitLevels, opts.numThreads,
+        quant::accumulateBody<NumInputs>(
+            p0, p1, StreamAccum{packed.back().data()}, true));
 
     // Stage C (serial): unpack the output stream back to the
     // software layout. Operands: [packed source, software output].
-    {
-        const ExecPlan::Operand *ops[2] = {&pops.back(),
-                                           &direct.back()};
-        const StreamT *psrc = packed.back().data();
-        runMappedWalkRange(plan.iterExtents(), plan.axes(),
-                           plan.groups(), ops, 2, -1, 0, 0,
-                           [&](const std::int64_t *a) {
-                               outAcc.store(a[1], psrc[a[0]]);
-                           });
-    }
+    const StreamT *psrc = packed.back().data();
+    WalkRunStats unpackStats = runSweep(
+        plan, ExecPlan::Sweep::Unpack,
+        withArity<2>([&](const std::int64_t *a) {
+            outAcc.store(a[1], psrc[a[0]]);
+        }));
+    stats.loweredSweeps =
+        packStats.loweredSweeps + unpackStats.loweredSweeps;
+    stats.tiledSweeps = packStats.tiledSweeps + unpackStats.tiledSweeps;
     return stats;
 }
 
@@ -418,6 +402,10 @@ ExecPlan::compile(const MappingPlan &plan)
         return;
     if (!compilePackedOperands(plan))
         return;
+    for (auto &op : _direct)
+        computeGroupAlphas(op);
+    for (auto &op : _packed)
+        computeGroupAlphas(op);
     _directSplit = computeDirectSplit();
     _packedSplit = pickSplitLevel(_stageB, _stageB.operands.size() - 1,
                                   _axes.size());
@@ -583,16 +571,163 @@ ExecPlan::compilePackedOperands(const MappingPlan &plan)
 }
 
 /**
+ * The one linearity test of a fused group. With digit strides
+ * dstr_pos (the product of the extents of later members), the
+ * members' contribution sum_pos coeff_pos * digit_pos equals
+ * alpha * flat for every in-range flat value iff coeff_pos ==
+ * alpha * dstr_pos for every member.
+ */
+void
+ExecPlan::computeGroupAlphas(Operand &op) const
+{
+    auto coeff = [&](std::size_t s) -> std::int64_t {
+        return s < op.swCoeff.size() ? op.swCoeff[s] : 0;
+    };
+    op.groupAlpha.assign(_groups.size(), 0);
+    for (std::size_t k = 0; k < _groups.size(); ++k) {
+        const Group &g = _groups[k];
+        bool anyNonZero = false;
+        for (auto s : g.members)
+            anyNonZero = anyNonZero || coeff(s) != 0;
+        if (!anyNonZero)
+            continue;
+        // Digit strides, and whether every flat value below F decodes
+        // in range (always true for well-formed plans).
+        std::int64_t dstr[kMaxWalkLevels];
+        dstr[g.members.size() - 1] = 1;
+        std::int64_t prod = 1;
+        for (std::size_t pos = g.members.size(); pos-- > 0;) {
+            if (pos + 1 < g.members.size())
+                dstr[pos] = dstr[pos + 1] * g.extents[pos + 1];
+            prod *= g.extents[pos];
+        }
+        const std::int64_t alpha = coeff(g.members.back());
+        bool linear = g.fusedExtent <= prod;
+        for (std::size_t pos = 0; linear && pos < g.members.size(); ++pos)
+            linear = coeff(g.members[pos]) == alpha * dstr[pos];
+        op.groupAlpha[k] =
+            linear ? std::optional<std::int64_t>(alpha) : std::nullopt;
+    }
+}
+
+std::vector<const ExecPlan::Operand *>
+ExecPlan::sweepOperands(Sweep sweep) const
+{
+    std::vector<const Operand *> ops;
+    switch (sweep) {
+      case Sweep::Direct:
+        for (const auto &op : _direct)
+            ops.push_back(&op);
+        break;
+      case Sweep::Pack:
+        for (std::size_t m = 0; m < _numInputs; ++m) {
+            ops.push_back(&_direct[m]);
+            ops.push_back(&_packed[m]);
+        }
+        break;
+      case Sweep::Unpack:
+        ops.push_back(&_packed.back());
+        ops.push_back(&_direct.back());
+        break;
+    }
+    return ops;
+}
+
+/**
+ * Lower one mapped sweep to a stride walk over
+ * [outer axes][intrinsic counters]. A group with alpha contributes
+ * alpha * (q * I + t), so its quotient axis steps by alpha * I and
+ * its counter by alpha, on top of the packed-tile strides. The
+ * counter of a padded group with a quotient axis is clamped to
+ * min(I, F - q * I); without a quotient axis, q is 0 and the extent
+ * is min(I, F).
+ */
+std::optional<AccessWalkPlan>
+ExecPlan::lowered(Sweep sweep) const
+{
+    require(compiled(), "ExecPlan::lowered on an uncompiled plan");
+    const std::size_t A = _axes.size();
+    const std::size_t K = _groups.size();
+    const auto ops = sweepOperands(sweep);
+    AccessWalkPlan walk;
+    for (const auto &ax : _axes)
+        walk.extents.push_back(ax.extent);
+    for (std::size_t k = 0; k < K; ++k) {
+        const Group &g = _groups[k];
+        int quotAxis = -1;
+        for (std::size_t a = 0; a < A; ++a)
+            if (_axes[a].isQuotient && _axes[a].ref == k)
+                quotAxis = static_cast<int>(a);
+        if (quotAxis < 0) {
+            walk.extents.push_back(
+                std::min(g.intrinsicExtent, g.fusedExtent));
+            continue;
+        }
+        walk.extents.push_back(g.intrinsicExtent);
+        // The quotient axis has ceil(F / I) values, so only a padded
+        // group (F mod I != 0) ever ends a tile early.
+        if (g.fusedExtent % g.intrinsicExtent != 0)
+            walk.clamps.push_back({A + k,
+                                   static_cast<std::size_t>(quotAxis),
+                                   g.intrinsicExtent, g.fusedExtent});
+    }
+    for (const Operand *op : ops) {
+        for (const auto &alpha : op->groupAlpha)
+            if (!alpha)
+                return std::nullopt;
+        WalkOperand w;
+        w.base = op->base;
+        for (std::size_t a = 0; a < A; ++a) {
+            const Axis &ax = _axes[a];
+            std::int64_t s =
+                a < op->outerStride.size() ? op->outerStride[a] : 0;
+            if (!ax.isQuotient)
+                s += ax.ref < op->swCoeff.size() ? op->swCoeff[ax.ref]
+                                                 : 0;
+            else
+                s += *op->groupAlpha[ax.ref] *
+                     _groups[ax.ref].intrinsicExtent;
+            w.stride.push_back(s);
+        }
+        for (std::size_t k = 0; k < K; ++k)
+            w.stride.push_back(*op->groupAlpha[k] +
+                               (k < op->tStride.size() ? op->tStride[k]
+                                                       : 0));
+        walk.operands.push_back(std::move(w));
+    }
+    walk.finalize();
+    return walk;
+}
+
+std::vector<std::vector<std::int64_t>>
+ExecPlan::sweepAddresses(Sweep sweep, bool tiled, int restrictAxis,
+                         std::int64_t lo, std::int64_t hi) const
+{
+    require(compiled(), "ExecPlan::sweepAddresses on an uncompiled plan");
+    const auto ops = sweepOperands(sweep);
+    std::vector<std::vector<std::int64_t>> visited;
+    auto record = [&](const std::int64_t *a) {
+        visited.emplace_back(a, a + ops.size());
+    };
+    const auto walk = tiled ? std::nullopt : lowered(sweep);
+    if (walk)
+        runAccessWalkRange(*walk, restrictAxis, lo, hi, record);
+    else
+        runMappedWalkRange(_iterExtents, _axes, _groups, ops.data(),
+                           ops.size(), restrictAxis, lo, hi, record);
+    return visited;
+}
+
+/**
  * Find an outer axis whose values write provably disjoint output
  * elements, so the direct sweep can split it across threads.
  *
  * For an unmapped axis the output address moves by coeff_s per step;
  * for a quotient axis it moves by alpha * I per step, provided the
- * member coefficients are proportional to the digit strides (the
- * address is then linear in the fused flat value, addr contribution
- * = alpha * flat). Either way, consecutive axis values stay disjoint
- * iff the per-unit step |alpha| exceeds the combined span of every
- * iterator outside the axis.
+ * group is linear for the output (groupAlpha). Either way,
+ * consecutive axis values stay disjoint iff the per-unit step
+ * |alpha| exceeds the combined span of every iterator outside the
+ * axis.
  */
 int
 ExecPlan::computeDirectSplit() const
@@ -613,25 +748,12 @@ ExecPlan::computeDirectSplit() const
             spanM = std::abs(alpha) * (_iterExtents[ax.ref] - 1);
         } else {
             const Group &g = _groups[ax.ref];
-            if (g.members.empty())
+            if (!out.groupAlpha[ax.ref])
                 continue;
-            // Digit stride of member pos in the fused flat value.
-            std::vector<std::int64_t> dstr(g.members.size(), 1);
-            for (std::size_t pos = g.members.size(); pos-- > 1;)
-                dstr[pos - 1] = dstr[pos] * g.extents[pos];
-            alpha = out.swCoeff[g.members.back()];
-            bool linear = true;
-            for (std::size_t pos = 0; pos < g.members.size(); ++pos) {
-                if (out.swCoeff[g.members[pos]] !=
-                    alpha * dstr[pos]) {
-                    linear = false;
-                    break;
-                }
+            alpha = *out.groupAlpha[ax.ref];
+            for (std::size_t pos = 0; pos < g.members.size(); ++pos)
                 spanM += std::abs(out.swCoeff[g.members[pos]]) *
                          (g.extents[pos] - 1);
-            }
-            if (!linear)
-                continue;
         }
         if (alpha != 0 && std::abs(alpha) > total - spanM)
             return static_cast<int>(a);
@@ -687,36 +809,26 @@ ExecPlan::runDirect(const std::vector<const Buffer *> &inputs,
     require(buffersMatch(inputs, output, &why),
             "ExecPlan::runDirect: ", why);
 
-    const Operand *ops[kMaxWalkOperands];
-    for (std::size_t m = 0; m < _numInputs; ++m)
-        ops[m] = &_direct[m];
-    ops[_numInputs] = &_direct.back();
-
     // The walk generates addresses; loaders/accumulator carry the
     // numeric discipline (float MAC, exact int32 dot, bf16 widening).
     WalkRunStats stats;
+    const bool inRegister = !outputAliasesInput(output, inputs);
     switch (_combine) {
       case CombineKind::MultiplyAdd:
         quant::dispatchMulAdd(
             _semantics, *inputs[0], *inputs[1], output,
             [&](auto l0, auto l1, auto acc) {
-                stats = runMappedWalkParallel(
-                    _iterExtents, _axes, _groups, ops, _numInputs + 1,
-                    _directSplit, opts.numThreads,
-                    [&](const std::int64_t *a) {
-                        acc.add(a[2], l0.load(a[0]) * l1.load(a[1]));
-                    });
+                stats = runDirectSweep(
+                    *this, _directSplit, opts.numThreads,
+                    quant::accumulateBody<2>(l0, l1, acc, inRegister));
             });
         break;
       case CombineKind::SumReduce:
         quant::dispatchSum(
             _semantics, *inputs[0], output, [&](auto l0, auto acc) {
-                stats = runMappedWalkParallel(
-                    _iterExtents, _axes, _groups, ops, _numInputs + 1,
-                    _directSplit, opts.numThreads,
-                    [&](const std::int64_t *a) {
-                        acc.add(a[1], l0.load(a[0]));
-                    });
+                stats = runDirectSweep(
+                    *this, _directSplit, opts.numThreads,
+                    quant::accumulateBody<1>(l0, l0, acc, inRegister));
             });
         break;
     }
@@ -733,39 +845,24 @@ ExecPlan::runPacked(const std::vector<const Buffer *> &inputs,
     require(buffersMatch(inputs, output, &why),
             "ExecPlan::runPacked: ", why);
 
-    const bool mulAdd = _combine == CombineKind::MultiplyAdd;
-    switch (_semantics.kind) {
-      case quant::KernelSemantics::F32: {
-        quant::FloatLoader l0{inputs[0]->data()};
-        quant::FloatLoader l1{mulAdd ? inputs[1]->data()
-                                     : inputs[0]->data()};
-        return runPackedTyped<FloatStreamOps>(
-            *this, opts, l0, l1, quant::FloatAccum{output.data()});
-      }
-      case quant::KernelSemantics::Bf16: {
-        quant::Bf16Loader l0{inputs[0]->bf16Data()};
-        quant::Bf16Loader l1{mulAdd ? inputs[1]->bf16Data()
-                                    : inputs[0]->bf16Data()};
-        return runPackedTyped<FloatStreamOps>(
-            *this, opts, l0, l1, quant::FloatAccum{output.data()});
-      }
-      case quant::KernelSemantics::IntDot: {
-        WalkRunStats stats;
-        quant::I32Accum acc{output.i32Data()};
-        quant::withInt8Loader(*inputs[0], [&](auto l0) {
-            if (mulAdd)
-                quant::withInt8Loader(*inputs[1], [&](auto l1) {
-                    stats = runPackedTyped<IntStreamOps>(*this, opts,
-                                                         l0, l1, acc);
-                });
-            else
-                stats = runPackedTyped<IntStreamOps>(*this, opts, l0,
-                                                     l0, acc);
-        });
-        return stats;
-      }
+    WalkRunStats stats;
+    switch (_combine) {
+      case CombineKind::MultiplyAdd:
+        quant::dispatchMulAdd(
+            _semantics, *inputs[0], *inputs[1], output,
+            [&](auto l0, auto l1, auto acc) {
+                stats = runPackedTyped<2>(*this, opts, l0, l1, acc);
+            });
+        break;
+      case CombineKind::SumReduce:
+        quant::dispatchSum(_semantics, *inputs[0], output,
+                           [&](auto l0, auto acc) {
+                               stats = runPackedTyped<1>(*this, opts, l0,
+                                                         l0, acc);
+                           });
+        break;
     }
-    return WalkRunStats{};
+    return stats;
 }
 
 } // namespace amos

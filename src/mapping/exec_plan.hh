@@ -14,19 +14,24 @@
  *
  *  - The direct executor's nest (outer axes x intrinsic iterations)
  *    reconstructs software coordinates as mixed-radix digits of each
- *    group's fused flat value. The engine advances those digits as a
- *    per-group odometer: one coefficient add per increment, a
- *    precomputed rollback per digit carry, and a saved-address
- *    restore per group carry (which also covers the early carry that
- *    skips a trailing-padding tail). Zero hash lookups, zero
- *    evalExpr calls, zero allocations in the inner loop.
+ *    group's fused flat value. When every operand's coefficients on a
+ *    group's members are alpha times the digit strides, the group
+ *    contributes alpha * flat = alpha * (q * I + t): linear in the
+ *    quotient axis and the counter. If that holds for every group,
+ *    the nest is lowered to a plain AccessWalkPlan over
+ *    [outer axes][intrinsic counters] whose counter levels are
+ *    clamped to min(I, F - q * I), and runs on the fixed-arity stride
+ *    walker. Otherwise it runs on a per-tile digit odometer: one
+ *    coefficient add per increment, a precomputed rollback per digit
+ *    carry, and a saved-address restore per group carry.
  *
  *  - The packed executor's pack / compute / unpack stages are
- *    restructured onto the same nest. Tile base addresses — floordiv
- *    expressions over software iterators, but linear over the outer
- *    axes by construction — are lowered to per-axis strides by
- *    probing, with a corner cross-check that falls back to the
- *    interpreter if linearity ever failed to hold.
+ *    restructured onto the same nest (and lowered by the same rule).
+ *    Tile base addresses — floordiv expressions over software
+ *    iterators, but linear over the outer axes by construction — are
+ *    lowered to per-axis strides by probing, with a corner
+ *    cross-check that falls back to the interpreter if linearity ever
+ *    failed to hold.
  *
  * The outer-tile sweep parallelises over an axis whose values
  * provably write disjoint output elements (see
@@ -38,6 +43,7 @@
 #define AMOS_MAPPING_EXEC_PLAN_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,6 +77,7 @@ class ExecPlan
      * Outer axis the direct sweep splits across threads, or -1 when
      * no axis provably writes disjoint output elements (the sweep
      * then stays serial regardless of the requested thread count).
+     * In the lowered direct walk it is the restricted level.
      */
     int directSplitAxis() const { return _directSplit; }
 
@@ -125,6 +132,11 @@ class ExecPlan
         std::vector<std::int64_t> tStride;
         /// Address step per outer axis (packed tile bases).
         std::vector<std::int64_t> outerStride;
+        /// Per group: alpha such that the members' digit contribution
+        /// is alpha * (fused flat value), or nullopt when the
+        /// coefficients are not proportional to the digit strides.
+        /// Empty groups and groups this operand ignores give 0.
+        std::vector<std::optional<std::int64_t>> groupAlpha;
         std::int64_t base = 0;
         std::int64_t minAddr = 0; ///< over the full iteration box
         std::int64_t maxAddr = 0;
@@ -149,6 +161,36 @@ class ExecPlan
     }
     /** The packed compute stage's pure affine nest. */
     const AccessWalkPlan &stageB() const { return _stageB; }
+
+    /** The three mapped sweeps over [outer axes][intrinsic counters]. */
+    enum class Sweep
+    {
+        Direct, ///< operands: inputs..., output
+        Pack,   ///< operands: (input, packed input stream) pairs
+        Unpack, ///< operands: packed output stream, output
+    };
+
+    /**
+     * A sweep lowered to a clamped stride walk, or nullopt when one of
+     * its operands sees a non-linear fused group (the sweep then runs
+     * on the per-tile digit odometer). Built on each call, so that
+     * constructing a plan for the JIT tier costs nothing extra.
+     */
+    std::optional<AccessWalkPlan> lowered(Sweep sweep) const;
+
+    /** A sweep's operands, in walk order. */
+    std::vector<const Operand *> sweepOperands(Sweep sweep) const;
+
+    /**
+     * Address tuples one sweep visits, in order (tests and
+     * diagnostics). `tiled` forces the per-tile digit odometer even
+     * when the sweep is lowered; `restrictAxis` >= 0 confines that
+     * outer axis to [lo, hi).
+     */
+    std::vector<std::vector<std::int64_t>>
+    sweepAddresses(Sweep sweep, bool tiled, int restrictAxis = -1,
+                   std::int64_t lo = 0, std::int64_t hi = 0) const;
+
     CombineKind combine() const { return _combine; }
     std::size_t numInputs() const { return _numInputs; }
     /** Numeric discipline the plan executes under. */
@@ -174,6 +216,7 @@ class ExecPlan
     void compile(const MappingPlan &plan);
     bool compileDirectOperands(const MappingPlan &plan);
     bool compilePackedOperands(const MappingPlan &plan);
+    void computeGroupAlphas(Operand &op) const;
     int computeDirectSplit() const;
 
     std::string _reason;

@@ -15,13 +15,14 @@
  *
  * Loaders return the arithmetic type of their discipline (float or
  * int64), accumulators wrap the discipline's exact add — so each
- * engine writes one body per combine kind and gets every dtype path
- * with identical accumulation order.
+ * engine writes one body per combine kind (AccumulateBody) and gets
+ * every dtype path with identical accumulation order.
  */
 
 #ifndef AMOS_QUANT_TYPED_EXEC_HH
 #define AMOS_QUANT_TYPED_EXEC_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "quant/bf16.hh"
@@ -60,30 +61,109 @@ struct U8Loader
     std::int64_t load(std::int64_t a) const { return p[a]; }
 };
 
-/** Float accumulator / store target. */
+/** int32 staging-stream reader, widened to the int64 domain. */
+struct I32Loader
+{
+    const std::int32_t *p;
+    std::int64_t load(std::int64_t a) const { return p[a]; }
+};
+
+/**
+ * Float accumulator / store target. step() is the discipline's add
+ * on a held value, so add(a, v) == put(a, step(get(a), v)).
+ */
 struct FloatAccum
 {
+    using Value = float;
     float *p;
-    void add(std::int64_t a, float v) const { p[a] += v; }
+    static float step(float r, float v) { return r + v; }
+    float get(std::int64_t a) const { return p[a]; }
+    void put(std::int64_t a, float v) const { p[a] = v; }
+    void add(std::int64_t a, float v) const { p[a] = step(p[a], v); }
     void store(std::int64_t a, float v) const { p[a] = v; }
-    float load(std::int64_t a) const { return p[a]; }
 };
 
 /** Exact int32 accumulator (int64 arithmetic, wrapping cast). */
 struct I32Accum
 {
+    using Value = std::int32_t;
     std::int32_t *p;
+    static std::int32_t step(std::int32_t r, std::int64_t v)
+    {
+        return static_cast<std::int32_t>(static_cast<std::int64_t>(r) +
+                                         v);
+    }
+    std::int32_t get(std::int64_t a) const { return p[a]; }
+    void put(std::int64_t a, std::int32_t v) const { p[a] = v; }
     void add(std::int64_t a, std::int64_t v) const
     {
-        p[a] = static_cast<std::int32_t>(
-            static_cast<std::int64_t>(p[a]) + v);
+        p[a] = step(p[a], v);
     }
     void store(std::int64_t a, std::int64_t v) const
     {
         p[a] = static_cast<std::int32_t>(v);
     }
-    std::int64_t load(std::int64_t a) const { return p[a]; }
 };
+
+/**
+ * Stride-walk body of one combine kind: acc[a[Out]] += l0[a[0]]
+ * (* l1[a[1]]), Out = 2 for MultiplyAdd and 1 for SumReduce (pass
+ * `l0` twice; `l1` is then unused).
+ *
+ * run() takes a whole innermost run. When the run stays on one
+ * output element (output step 0) it holds the partial sum in a
+ * register: the same adds in the same order, so the result is
+ * bit-identical — provided no input overlaps the output, which the
+ * caller states through `inRegister`.
+ */
+template <typename L0, typename L1, typename Acc, std::size_t Out>
+struct AccumulateBody
+{
+    static_assert(Out == 1 || Out == 2, "one or two inputs");
+    static constexpr std::size_t kOperands = Out + 1;
+    L0 l0;
+    L1 l1;
+    Acc acc;
+    bool inRegister = true;
+
+    auto term(std::int64_t x, std::int64_t y) const
+    {
+        if constexpr (Out == 2)
+            return l0.load(x) * l1.load(y);
+        else
+            return l0.load(x);
+    }
+
+    void operator()(const std::int64_t *a) const
+    {
+        acc.add(a[Out], term(a[0], a[1]));
+    }
+
+    /** n elements from addresses a, advancing by `step` each. */
+    void run(const std::int64_t *a, const std::int64_t *step,
+             std::int64_t n) const
+    {
+        std::int64_t x = a[0], y = a[1], o = a[Out];
+        const std::int64_t sx = step[0], sy = step[1], so = step[Out];
+        if (so == 0 && inRegister) {
+            typename Acc::Value r = acc.get(o);
+            for (; n > 0; --n, x += sx, y += sy)
+                r = Acc::step(r, term(x, y));
+            acc.put(o, r);
+            return;
+        }
+        for (; n > 0; --n, x += sx, y += sy, o += so)
+            acc.add(o, term(x, y));
+    }
+};
+
+/** Build an AccumulateBody with deduced accessor types. */
+template <std::size_t Out, typename L0, typename L1, typename Acc>
+AccumulateBody<L0, L1, Acc, Out>
+accumulateBody(L0 l0, L1 l1, Acc acc, bool inRegister)
+{
+    return {l0, l1, acc, inRegister};
+}
 
 /**
  * Invoke fn(loader) with the accessor matching an 8-bit input lane.

@@ -43,6 +43,17 @@ noteWalkRun(TraceSpan &span, const WalkRunStats &stats,
     metrics.counter("exec.compiled_runs").add();
     span.arg("engine", "compiled");
     span.arg("threads", static_cast<std::int64_t>(stats.threadsUsed));
+    if (stats.loweredSweeps > 0)
+        metrics.counter("exec.walk_lowered_runs")
+            .add(static_cast<std::uint64_t>(stats.loweredSweeps));
+    if (stats.tiledSweeps > 0)
+        metrics.counter("exec.walk_tiled_runs")
+            .add(static_cast<std::uint64_t>(stats.tiledSweeps));
+    span.arg("walk_form", stats.tiledSweeps == 0
+                              ? (stats.loweredSweeps == 0 ? "affine"
+                                                          : "lowered")
+                              : (stats.loweredSweeps == 0 ? "tiled"
+                                                          : "mixed"));
     if (stats.threadsUsed > 1)
         metrics.counter("exec.parallel_runs").add();
     else if (ThreadPool::resolveThreads(requestedThreads) > 1)
@@ -52,6 +63,11 @@ noteWalkRun(TraceSpan &span, const WalkRunStats &stats,
 void
 AccessWalkPlan::finalize()
 {
+    for (const auto &c : clamps)
+        require(c.quotientLevel < c.level && c.level < extents.size() &&
+                    c.tile > 0,
+                "AccessWalkPlan: clamp of level ", c.level,
+                " on quotient level ", c.quotientLevel, " is malformed");
     for (auto &op : operands) {
         require(op.stride.size() == extents.size(),
                 "AccessWalkPlan: operand has ", op.stride.size(),
@@ -77,6 +93,15 @@ AccessWalkPlan::totalSteps() const
     for (auto e : extents)
         n *= e;
     return n;
+}
+
+bool
+AccessWalkPlan::clamped(std::size_t level) const
+{
+    for (const auto &c : clamps)
+        if (c.level == level)
+            return true;
+    return false;
 }
 
 std::optional<AccessWalkPlan>
@@ -130,7 +155,7 @@ pickSplitLevel(const AccessWalkPlan &plan, std::size_t operand,
     std::size_t limit =
         std::min(levelLimit, plan.extents.size());
     for (std::size_t l = 0; l < limit; ++l) {
-        if (plan.extents[l] < 2 || op.stride[l] == 0)
+        if (plan.extents[l] < 2 || op.stride[l] == 0 || plan.clamped(l))
             continue;
         std::int64_t step = std::abs(op.stride[l]);
         std::int64_t others =

@@ -142,6 +142,7 @@ referenceExecute(const TensorComputation &comp,
             // int32 dot, bf16-widened MAC) so one body per combine
             // kind covers every dtype path.
             WalkRunStats stats;
+            const bool inRegister = !outputAliasesInput(output, inputs);
             switch (comp.combine()) {
               case CombineKind::MultiplyAdd:
                 quant::dispatchMulAdd(
@@ -150,10 +151,8 @@ referenceExecute(const TensorComputation &comp,
                         stats = runAccessWalkParallel(
                             *plan, 2, plan->extents.size(),
                             opts.numThreads,
-                            [&](const std::int64_t *a) {
-                                acc.add(a[2], l0.load(a[0]) *
-                                                  l1.load(a[1]));
-                            });
+                            quant::accumulateBody<2>(l0, l1, acc,
+                                                     inRegister));
                     });
                 break;
               case CombineKind::SumReduce:
@@ -163,9 +162,8 @@ referenceExecute(const TensorComputation &comp,
                         stats = runAccessWalkParallel(
                             *plan, 1, plan->extents.size(),
                             opts.numThreads,
-                            [&](const std::int64_t *a) {
-                                acc.add(a[1], l0.load(a[0]));
-                            });
+                            quant::accumulateBody<1>(l0, l0, acc,
+                                                     inRegister));
                     });
                 break;
             }

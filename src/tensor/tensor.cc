@@ -93,4 +93,19 @@ Buffer::maxAbsDiff(const Buffer &other) const
     return worst;
 }
 
+bool
+outputAliasesInput(const Buffer &output,
+                   const std::vector<const Buffer *> &inputs)
+{
+    const char *ob = static_cast<const char *>(output.rawData());
+    const char *oe = ob + output.storageBytes();
+    for (const Buffer *in : inputs) {
+        const char *b = static_cast<const char *>(in->rawData());
+        const char *e = b + in->storageBytes();
+        if (b < oe && ob < e)
+            return true;
+    }
+    return false;
+}
+
 } // namespace amos

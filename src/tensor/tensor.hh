@@ -390,6 +390,14 @@ class Buffer
     std::vector<std::int32_t> _i32;
 };
 
+/**
+ * True iff the output's storage overlaps any input's — an executor
+ * called in place. Engines that reorder loads and stores (restrict
+ * kernels, register-held accumulators) must not run then.
+ */
+bool outputAliasesInput(const Buffer &output,
+                        const std::vector<const Buffer *> &inputs);
+
 } // namespace amos
 
 #endif // AMOS_TENSOR_TENSOR_HH

@@ -11,6 +11,7 @@
 #include "explore/tuner.hh"
 #include "hw/hardware.hh"
 #include "isa/intrinsics.hh"
+#include "mapping/exec_plan.hh"
 #include "mapping/execute.hh"
 #include "mapping/generate.hh"
 #include "ops/operators.hh"
@@ -210,6 +211,7 @@ TEST_P(CompiledEngineDifferential, StrideWalkIsBitIdentical)
     for (const auto &plan : plans) {
         SCOPED_TRACE(plan.mapping().signature(comp));
         EXPECT_EQ(compiledVsInterpreterError(plan, 7, 1), 0.0f);
+        EXPECT_EQ(compiledVsInterpreterError(plan, 7, 2), 0.0f);
         EXPECT_EQ(compiledVsInterpreterError(plan, 7, 4), 0.0f);
     }
 }
@@ -248,6 +250,98 @@ TEST(Execute, ThreadCountNeverChangesResults)
             << threads << " threads (direct)";
         EXPECT_EQ(packed1.maxAbsDiff(packed), 0.0f)
             << threads << " threads (packed)";
+    }
+}
+
+TEST(LoweredWalk, BenchmarkKernelsLowerEverySweep)
+{
+    // The engine benchmark's fixed kernels (first enumerated plan on
+    // a dtype-legal intrinsic) must run every direct, pack and unpack
+    // sweep on the lowered stride walker; three of them need the
+    // padding clamp (conv2d: F=3, I=2; conv2d_i8: F=3, I=4; gemv: an
+    // empty group's F=1 under I=2, clamped statically).
+    ops::ConvParams conv{1, 8, 16, 14, 14, 3, 3, 1, 1, DataType::F16};
+    const std::vector<std::pair<TensorComputation, Intrinsic>> kernels =
+        {{ops::makeGemm(64, 64, 64), isa::wmmaTiny()},
+         {ops::makeConv2d(conv), isa::wmmaTiny()},
+         {ops::makeGemv(256, 256), isa::wmmaTiny()},
+         {ops::makeQuantizedGemm(64, 64, 64), isa::avx512Vnni()},
+         {ops::makeQuantizedConv2d(conv), isa::maliDot()}};
+    auto &lowered =
+        MetricsRegistry::global().counter("exec.walk_lowered_runs");
+    auto &tiled =
+        MetricsRegistry::global().counter("exec.walk_tiled_runs");
+    int padded = 0;
+    for (const auto &[comp, intr] : kernels) {
+        SCOPED_TRACE(comp.name());
+        auto plans = enumeratePlans(comp, intr, {});
+        ASSERT_FALSE(plans.empty());
+        ExecPlan ep(plans[0]);
+        ASSERT_TRUE(ep.compiled()) << ep.fallbackReason();
+        for (auto sweep : {ExecPlan::Sweep::Direct, ExecPlan::Sweep::Pack,
+                           ExecPlan::Sweep::Unpack})
+            EXPECT_TRUE(ep.lowered(sweep).has_value());
+        for (const auto &g : ep.groups())
+            if (g.fusedExtent % g.intrinsicExtent != 0) {
+                ++padded;
+                break;
+            }
+
+        auto inputs = makePatternInputs(comp, 3);
+        std::vector<const Buffer *> ptrs;
+        for (const auto &b : inputs)
+            ptrs.push_back(&b);
+        ExecOptions walk;
+        walk.engine = ExecEngine::Walk;
+        Buffer direct(comp.output()), packed(comp.output());
+        const std::uint64_t loweredBefore = lowered.value();
+        const std::uint64_t tiledBefore = tiled.value();
+        EXPECT_EQ(executeMappedDirect(plans[0], ptrs, direct, walk).engine,
+                  "walk");
+        EXPECT_EQ(executeMappedPacked(plans[0], ptrs, packed, walk).engine,
+                  "walk");
+        EXPECT_EQ(lowered.value(), loweredBefore + 3);
+        EXPECT_EQ(tiled.value(), tiledBefore);
+        EXPECT_EQ(direct.maxAbsDiff(packed), 0.0f);
+    }
+    EXPECT_EQ(padded, 3);
+}
+
+TEST(LoweredWalk, ThreadCountNeverChangesPaddedResults)
+{
+    // A padded plan whose direct sweep splits a quotient axis: each
+    // worker's range starts mid-axis and the last one ends in the
+    // clamped tail. Every thread count must give the interpreter's
+    // bits on both mapped paths.
+    auto gemm = ops::makeGemm(9, 7, 5);
+    auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
+    ASSERT_FALSE(plans.empty());
+    const auto &plan = plans[0];
+    ExecPlan ep(plan);
+    ASSERT_TRUE(ep.lowered(ExecPlan::Sweep::Direct).has_value());
+    ASSERT_GE(ep.directSplitAxis(), 0);
+    EXPECT_TRUE(ep.axes()[static_cast<std::size_t>(ep.directSplitAxis())]
+                    .isQuotient);
+
+    auto inputs = makePatternInputs(gemm, 17);
+    std::vector<const Buffer *> ptrs;
+    for (const auto &b : inputs)
+        ptrs.push_back(&b);
+    ExecOptions interp;
+    interp.engine = ExecEngine::Interpreter;
+    Buffer direct0(gemm.output()), packed0(gemm.output());
+    executeMappedDirect(plan, ptrs, direct0, interp);
+    executeMappedPacked(plan, ptrs, packed0, interp);
+    for (int threads : {1, 2, 3, 4}) {
+        ExecOptions opts;
+        opts.engine = ExecEngine::Walk;
+        opts.numThreads = threads;
+        Buffer direct(gemm.output()), packed(gemm.output());
+        ExecReport report = executeMappedDirect(plan, ptrs, direct, opts);
+        executeMappedPacked(plan, ptrs, packed, opts);
+        EXPECT_EQ(direct0.maxAbsDiff(direct), 0.0f) << threads;
+        EXPECT_EQ(packed0.maxAbsDiff(packed), 0.0f) << threads;
+        EXPECT_EQ(report.threadsUsed, threads);
     }
 }
 

@@ -254,6 +254,85 @@ TEST(JitCodegen, TypedKernelsMatchStorageLanes)
     EXPECT_NE(bsrc.find("float *restrict out"), std::string::npos);
 }
 
+/**
+ * FNV-1a of every kernel text emitted for a computation: the
+ * reference walk kernel, then the direct and packed kernels of each
+ * enumerated plan on `intr`, in enumeration order.
+ */
+std::uint64_t
+emittedKernelsHash(const TensorComputation &comp, const Intrinsic &intr)
+{
+    std::vector<DataType> dtypes;
+    for (const auto &in : comp.inputs())
+        dtypes.push_back(in.decl.dtype());
+    dtypes.push_back(comp.output().dtype());
+    auto walk = compileReferenceWalk(comp);
+    require(walk.has_value(), "no reference walk for ", comp.name());
+    std::string all =
+        generateWalkKernelC(*walk, comp.combine(), comp.inputs().size(),
+                            "golden reference", dtypes);
+    for (const auto &plan : enumeratePlans(comp, intr, {})) {
+        ExecPlan ep(plan);
+        if (!ep.compiled())
+            continue;
+        const std::string sig = plan.mapping().signature(comp);
+        all += generateDirectKernelC(ep, "golden direct " + sig);
+        all += generatePackedKernelC(ep, "golden packed " + sig);
+    }
+    return JitEngine::fnv1a(all);
+}
+
+TEST(JitCodegen, EmittedKernelTextIsStable)
+{
+    // Kernel text is the JIT cache key: a refactor of the emitters or
+    // of the plan tables they read must not move a single byte, or
+    // every cached .so and the set-up cost of a warm process change.
+    // The goldens cover every operator kind on wmmaTiny (padded,
+    // empty, linear and digit-decoded groups) and the benchmark's
+    // fixed kernels, including the typed int8 emitters.
+    ops::ConvParams conv{1, 8, 16, 14, 14, 3, 3, 1, 1, DataType::F16};
+    const std::vector<std::pair<std::string, std::uint64_t>> golden = {
+        {"GMV", 0xe5c42546288afea2ULL},
+        {"GMM", 0x45d316cbd6c7edfdULL},
+        {"C1D", 0xeefcc7bfee64a7c7ULL},
+        {"C2D", 0xb8028c1781259880ULL},
+        {"C3D", 0xc09d147defb3288cULL},
+        {"T2D", 0xf9921b214ff64156ULL},
+        {"GRP", 0xfc0d1f0a1bd37b74ULL},
+        {"DIL", 0x50c9ccad001574e3ULL},
+        {"DEP", 0xe2cee60304f14e6dULL},
+        {"CAP", 0x58c021e69237303eULL},
+        {"BCV", 0x7e013c39b78e00a6ULL},
+        {"GFC", 0xb3863ae6a19b32c3ULL},
+        {"MEN", 0x20511cdc068776f7ULL},
+        {"VAR", 0x8378dad8421ce505ULL},
+        {"SCN", 0x8e3590d199daee7bULL},
+        {"bench_gemm", 0xa715bd384db7ac71ULL},
+        {"bench_conv2d", 0x1829c352fd20bf74ULL},
+        {"bench_gemv", 0x332817b96f3b8109ULL},
+        {"bench_gemm_i8", 0xb3e25669cc2bb800ULL},
+        {"bench_conv2d_i8", 0x6c9e11283a781964ULL},
+    };
+    std::vector<std::uint64_t> actual;
+    for (auto kind : ops::allOpKinds())
+        actual.push_back(
+            emittedKernelsHash(makeSmallOp(kind), isa::wmmaTiny()));
+    actual.push_back(
+        emittedKernelsHash(ops::makeGemm(64, 64, 64), isa::wmmaTiny()));
+    actual.push_back(
+        emittedKernelsHash(ops::makeConv2d(conv), isa::wmmaTiny()));
+    actual.push_back(
+        emittedKernelsHash(ops::makeGemv(256, 256), isa::wmmaTiny()));
+    actual.push_back(emittedKernelsHash(
+        ops::makeQuantizedGemm(64, 64, 64), isa::avx512Vnni()));
+    actual.push_back(emittedKernelsHash(
+        ops::makeQuantizedConv2d(conv), isa::maliDot()));
+    ASSERT_EQ(actual.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i)
+        EXPECT_EQ(actual[i], golden[i].second)
+            << golden[i].first << ": 0x" << std::hex << actual[i];
+}
+
 TEST(JitTier, QuantizedMappedPathsBitExact)
 {
     // int8 accumulation is exact, so the JIT tier must agree with the
@@ -422,6 +501,25 @@ TEST(JitCache, KeysSeparateConfigurations)
     EXPECT_NE(ea.keyFor(src), eb.keyFor(src));
     EXPECT_EQ(ea.keyFor(src), JitEngine(a).keyFor(src));
     EXPECT_NE(ea.keyFor(src), ea.keyFor(src + " "));
+}
+
+TEST(JitCache, KeyIsHashOfCompilerFlagsAndSource)
+{
+    // The key is FNV-1a over "compiler\nflags\nsource": streaming the
+    // parts must give exactly the hash of their concatenation, so
+    // amos_jit_<key>.so names written by earlier builds stay valid.
+    JitOptions opts = scratchOptions("keyform");
+    const std::string src = tinyKernel("keyform");
+    EXPECT_EQ(JitEngine(opts).keyFor(src),
+              JitEngine::fnv1a(opts.compiler + "\n" + opts.flags + "\n" +
+                               src));
+    opts.compiler = "cc-test";
+    opts.flags = "";
+    EXPECT_EQ(JitEngine(opts).keyFor(""),
+              JitEngine::fnv1a(std::string("cc-test\n\n")));
+    // Known FNV-1a 64 vectors.
+    EXPECT_EQ(JitEngine::fnv1a(std::string()), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(JitEngine::fnv1a(std::string("a")), 0xaf63dc4c8601ec8cULL);
 }
 
 TEST(JitTier, UnlinkedHookFallsBackToWalk)
