@@ -2,19 +2,18 @@
  * @file
  * bench_trace_overhead — measure what the tracing layer costs.
  *
- * Runs the same tuneWithPlans workload four ways: everything
- * disabled (every TraceSpan reduces to one relaxed atomic load),
- * tracing globally enabled, per-request tracing via a TraceContext,
- * and the always-on flight recorder with a per-request FlightScope
- * (the speculative-recording path every served request takes).
- * The flight-recorder overhead is the number CI gates: it must stay
- * under 5% so speculative recording can stay on permanently.
+ * Runs the same tuneWithPlans workload three ways: nothing recorded
+ * (no request scope, unscoped recording off: every TraceSpan reduces
+ * to one thread-local read and one relaxed atomic load), unscoped
+ * recording on (the `--trace-out` switch), and one FlightScope per
+ * request (the path every served request, traced or not, takes).
+ * The scoped overhead is the number CI gates: it must stay under 5%
+ * so speculative recording can stay on permanently.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_common.hh"
@@ -22,7 +21,6 @@
 #include "hw/hardware.hh"
 #include "mapping/generate.hh"
 #include "ops/operators.hh"
-#include "support/flight_recorder.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
 
@@ -78,64 +76,41 @@ main()
     options.generations = 4;
     options.numThreads = 4;
 
-    const int kRounds = 7;
-    auto run = [&](const char *label, auto setup, auto teardown) {
-        std::vector<double> samples;
-        for (int r = 0; r < kRounds; ++r) {
-            setup();
-            samples.push_back(tuneOnce(plans, hw, options));
-            teardown();
-        }
-        double ms = medianOf(samples);
-        std::printf("%-22s %8.2f ms\n", label, ms);
-        return ms;
-    };
-
     bench::banner("trace overhead (tuneWithPlans, conv2d 32x32x14)");
     // Warm-up: touch every code path once before timing.
     tuneOnce(plans, hw, options);
 
-    double off = run(
-        "everything off",
-        [] { FlightRecorder::global().setEnabled(false); },
-        [] { FlightRecorder::global().setEnabled(true); });
-    double on = run(
-        "tracing on (global)",
-        [] { Tracer::global().setEnabled(true); },
-        [] {
-            Tracer::global().setEnabled(false);
-            Tracer::global().clear();
-        });
-    std::vector<std::unique_ptr<TraceContext>> ctx;
-    double per_request = run(
-        "per-request context",
-        [&] { ctx.push_back(std::make_unique<TraceContext>("b")); },
-        [&] {
-            ctx.clear();
-            Tracer::global().releaseTrace("b");
-        });
-    // The serving path: recorder on (the default), one FlightScope
-    // per request, spans land in the per-thread rings.
-    std::unique_ptr<FlightScope> scope;
-    double flight = run(
-        "flight recorder",
-        [&] {
-            scope = std::make_unique<FlightScope>(
-                FlightRecorder::global().beginRequest());
-        },
-        [&] {
-            scope.reset();
-            FlightRecorder::global().clear();
-        });
+    // Each round times every column once, so a drift in machine
+    // speed during the run hits all columns alike instead of
+    // whichever runs last.
+    const int kRounds = 7;
+    FlightRecorder &recorder = FlightRecorder::global();
+    std::vector<double> off_ms, on_ms, flight_ms;
+    for (int r = 0; r < kRounds; ++r) {
+        off_ms.push_back(tuneOnce(plans, hw, options));
+        recorder.setRecordUnscoped(true);
+        on_ms.push_back(tuneOnce(plans, hw, options));
+        recorder.setRecordUnscoped(false);
+        recorder.clear();
+        {
+            // The serving path: one FlightScope per request, spans
+            // land in the per-thread rings.
+            FlightScope scope(recorder.beginRequest());
+            flight_ms.push_back(tuneOnce(plans, hw, options));
+        }
+        recorder.clear();
+    }
+    const double off = medianOf(off_ms);
+    const double on = medianOf(on_ms);
+    const double flight = medianOf(flight_ms);
+    std::printf("%-22s %8.2f ms\n", "everything off", off);
+    std::printf("%-22s %8.2f ms\n", "unscoped (global)", on);
+    std::printf("%-22s %8.2f ms\n", "flight recorder", flight);
 
-    std::printf("\noverhead: global %+.1f%%, per-request %+.1f%%, "
-                "flight %+.1f%%\n",
-                (on / off - 1.0) * 100.0,
-                (per_request / off - 1.0) * 100.0,
-                (flight / off - 1.0) * 100.0);
+    std::printf("\noverhead: global %+.1f%%, flight %+.1f%%\n",
+                (on / off - 1.0) * 100.0, (flight / off - 1.0) * 100.0);
     std::printf("acceptance: flight-recorder overhead must stay "
-                "< 5%% (gated in CI); the enabled tracer figures "
-                "bound the opt-in worst case\n");
+                "< 5%% (gated in CI)\n");
 
     bench::BenchReport report("trace_overhead", kRounds);
     report.setConfig("workload",
@@ -144,12 +119,9 @@ main()
     report.setConfig("threads", Json(4));
     report.setMetric("off_ms", Json(off));
     report.setMetric("global_ms", Json(on));
-    report.setMetric("per_request_ms", Json(per_request));
     report.setMetric("flight_ms", Json(flight));
     report.setMetric("global_overhead_pct",
                      Json((on / off - 1.0) * 100.0));
-    report.setMetric("per_request_overhead_pct",
-                     Json((per_request / off - 1.0) * 100.0));
     report.setMetric("flight_overhead_pct",
                      Json((flight / off - 1.0) * 100.0));
     // Runs/second views so check_regression.py's *_eps gate covers

@@ -69,7 +69,7 @@
 #include "mapping/generate.hh"
 #include "report/explain.hh"
 #include "serve/protocol.hh"
-#include "support/flight_recorder.hh"
+#include "support/atomic_file.hh"
 #include "support/trace.hh"
 
 namespace {
@@ -105,12 +105,12 @@ void
 writeFileOrThrow(const std::string &path,
                  const std::string &content, const char *flagName)
 {
-    std::ofstream out(path);
-    out << content;
-    out.flush();
-    if (!out.good())
+    try {
+        writeFileAtomic(path, content);
+    } catch (const FatalError &) {
         throw IoError(std::string(flagName) + ": failed writing '" +
                       path + "'");
+    }
 }
 
 struct Args
@@ -179,9 +179,12 @@ runCli(const Args &args)
 
     // --trace-out FILE: record the whole compilation as a Chrome
     // trace-event document (load in Perfetto or chrome://tracing).
+    FlightRecorder &recorder = FlightRecorder::global();
     std::string trace_path = args.str("trace-out", "");
-    if (!trace_path.empty())
-        Tracer::global().setEnabled(true);
+    if (!trace_path.empty()) {
+        recorder.setCapacityPerThread(kTraceOutSpansPerThread);
+        recorder.setRecordUnscoped(true);
+    }
 
     // Output paths are probed before the exploration runs: a typo'd
     // directory should cost milliseconds, not the whole tune.
@@ -200,8 +203,7 @@ runCli(const Args &args)
     // request) and dump the rings afterwards.
     std::optional<FlightScope> flight_scope;
     if (!flight_path.empty())
-        flight_scope.emplace(
-            FlightRecorder::global().beginRequest());
+        flight_scope.emplace(recorder.beginRequest());
 
     if (!json) {
         std::printf("%s", comp.toString().c_str());
@@ -351,21 +353,20 @@ runCli(const Args &args)
     }
 
     if (!trace_path.empty()) {
-        Tracer::global().writeFile(trace_path);
+        writeFileOrThrow(trace_path,
+                         recorder.toChromeJson().dump() + "\n",
+                         "--trace-out");
         std::fprintf(stderr, "wrote %zu trace spans to %s\n",
-                     Tracer::global().spanCount(),
-                     trace_path.c_str());
+                     recorder.recordCount(), trace_path.c_str());
     }
 
     if (!flight_path.empty()) {
-        writeFileOrThrow(
-            flight_path,
-            FlightRecorder::global().dumpJson().dump() + "\n",
-            "--flight-dump");
+        writeFileOrThrow(flight_path,
+                         recorder.dumpJson().dump() + "\n",
+                         "--flight-dump");
         std::fprintf(stderr,
                      "wrote %zu flight records to %s\n",
-                     FlightRecorder::global().recordCount(),
-                     flight_path.c_str());
+                     recorder.recordCount(), flight_path.c_str());
     }
 
     if (args.flag("require-tensorized") && !result.tensorized)

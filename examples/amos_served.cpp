@@ -57,7 +57,7 @@
 #include <string>
 
 #include "serve/server.hh"
-#include "support/flight_recorder.hh"
+#include "support/atomic_file.hh"
 #include "support/trace.hh"
 
 namespace {
@@ -189,16 +189,19 @@ main(int argc, char **argv)
     if (!flight_dump.empty())
         installCrashHandlers(flight_dump);
 
+    FlightRecorder &recorder = FlightRecorder::global();
     std::string trace_path = str("trace-out");
-    if (!trace_path.empty())
-        Tracer::global().setEnabled(true);
+    if (!trace_path.empty()) {
+        recorder.setCapacityPerThread(kTraceOutSpansPerThread);
+        recorder.setRecordUnscoped(true);
+    }
     auto write_trace = [&] {
         if (trace_path.empty())
             return;
-        Tracer::global().writeFile(trace_path);
-        inform("amos_served: wrote ",
-               Tracer::global().spanCount(), " trace spans to ",
-               trace_path);
+        writeFileAtomic(trace_path,
+                        recorder.toChromeJson().dump() + "\n");
+        inform("amos_served: wrote ", recorder.recordCount(),
+               " trace spans to ", trace_path);
     };
 
     try {

@@ -1,9 +1,9 @@
 #include "cache.hh"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "support/atomic_file.hh"
 #include "support/logging.hh"
 
 namespace amos {
@@ -298,19 +298,7 @@ TuningCache::fromJson(const Json &json)
 void
 TuningCache::saveFile(const std::string &path) const
 {
-    // Write-temp-then-rename: a crash mid-write leaves the previous
-    // file intact, and rename() within a directory is atomic, so a
-    // concurrent loadFile sees either the old or the new document.
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        expect(out.good(), "TuningCache: cannot write ", tmp);
-        out << toJson().dump() << "\n";
-        out.flush();
-        expect(out.good(), "TuningCache: short write to ", tmp);
-    }
-    expect(std::rename(tmp.c_str(), path.c_str()) == 0,
-           "TuningCache: cannot rename ", tmp, " to ", path);
+    writeFileAtomic(path, toJson().dump() + "\n");
 }
 
 TuningCache

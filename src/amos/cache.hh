@@ -100,8 +100,8 @@ class TuningCache
 
     /**
      * Persist to / restore from a file (JSON document). saveFile is
-     * crash-safe: it writes a sibling temp file and rename()s it
-     * into place, so readers never observe a torn document.
+     * crash-safe and safe against concurrent savers of one path
+     * (writeFileAtomic), so readers never observe a torn document.
      * loadFile raises fatal() only when the file cannot be opened;
      * unparseable content yields an empty cache with a warning.
      */

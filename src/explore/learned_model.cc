@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "model/perf_model.hh"
+#include "support/atomic_file.hh"
 #include "support/logging.hh"
 
 namespace amos {
@@ -195,18 +196,7 @@ LearnedModel::fromJson(const Json &json)
 void
 LearnedModel::saveFile(const std::string &path) const
 {
-    // Same write-temp-then-rename discipline as TuningCache::saveFile,
-    // so a hot-reloading server never observes a half-written model.
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        expect(out.good(), "LearnedModel: cannot write ", tmp);
-        out << toJson().dump() << "\n";
-        out.flush();
-        expect(out.good(), "LearnedModel: short write to ", tmp);
-    }
-    expect(std::rename(tmp.c_str(), path.c_str()) == 0,
-           "LearnedModel: cannot rename ", tmp, " to ", path);
+    writeFileAtomic(path, toJson().dump() + "\n");
 }
 
 std::optional<LearnedModel>

@@ -83,7 +83,7 @@ class LearnedModel
      */
     static std::optional<LearnedModel> fromJson(const Json &json);
 
-    /** Atomically (write-temp-then-rename) save a snapshot file. */
+    /** Atomically save a snapshot file (writeFileAtomic). */
     void saveFile(const std::string &path) const;
 
     /**

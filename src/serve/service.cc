@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "report/explain.hh"
 #include "report/prometheus.hh"
-#include "support/flight_recorder.hh"
+#include "support/atomic_file.hh"
 #include "support/logging.hh"
 #include "support/str_utils.hh"
 #include "support/trace.hh"
@@ -372,11 +371,11 @@ CompileService::submit(const CompileRequest &req)
     // Speculative flight recording: every request gets a sequence
     // number and a scope covering its submit path (cache-hit replay
     // included); whether the records are kept is decided after the
-    // outcome is known (maybeRetain).
-    FlightRecorder &flight = FlightRecorder::global();
+    // outcome is known (maybeRetain). A trace_id request is always
+    // retained: its response carries its tree.
     ticket._flightSeq =
-        flight.enabled() ? flight.beginRequest() : 0;
-    FlightScope flight_scope(ticket._flightSeq);
+        FlightRecorder::global().beginRequest(req.traceId);
+    FlightScope flight_scope(ticket._flightSeq, req.traceId);
 
     ticket._admission.counters.reserve(_counterRefs.size());
     for (const auto &[name, counter] : _counterRefs)
@@ -435,11 +434,6 @@ CompileService::submit(const CompileRequest &req)
         bool from_memory = tier == TieredCache::Tier::Memory;
         std::optional<CompileResult> result;
         {
-            // Per-request tracing covers the replay (one simulator
-            // run) exactly like a full compile.
-            std::optional<TraceContext> trace_ctx;
-            if (!req.traceId.empty())
-                trace_ctx.emplace(req.traceId);
             TraceSpan span("serve.cache_hit", "serve");
             span.arg("tier", from_memory ? "memory" : "disk");
             result = replayCacheEntry(*entry, *comp, spec);
@@ -454,12 +448,9 @@ CompileService::submit(const CompileRequest &req)
                     report::explainToJson(report::explainResult(
                         outcome.result, *comp, spec));
             (from_memory ? _memoryHits : _diskHits).add();
-            if (!req.traceId.empty()) {
-                auto &tracer = Tracer::global();
-                outcome.trace = tracer.spanTreeFor(req.traceId);
-                if (!tracer.enabled())
-                    tracer.releaseTrace(req.traceId);
-            }
+            if (!req.traceId.empty())
+                outcome.trace = FlightRecorder::global().traceTreeFor(
+                    ticket._flightSeq, req.traceId);
             return immediate(std::move(outcome));
         }
         // Stale entry (e.g. hardware spec evolved): re-explore.
@@ -525,23 +516,13 @@ CompileService::runJob(std::shared_ptr<Job> job)
     double queue_wait = elapsedMs(job->enqueued);
     _queueWait.record(queue_wait);
     outcome.queueWaitMs = queue_wait;
-    // Tag every stderr line this request's compilation emits with
-    // its trace id (log <-> trace correlation).
-    LogTraceScope log_scope(trace_id);
+    // The request scope, re-installed on this worker: every span the
+    // exploration records here (and, through parallelFor, on the
+    // tuner's worker threads) lands under the originating request's
+    // sequence, and every stderr line it logs carries its trace id.
+    FlightScope flight_scope(job->flightSeq, trace_id);
     AMOS_LOG(Debug) << "compile start key=" << job->key;
     {
-        // Per-request trace context: every span the exploration
-        // opens on this thread (and, through parallelFor's context
-        // propagation, on the tuner's worker threads) is tagged with
-        // the request's trace id. The flight scope is re-installed
-        // the same way so the rings attribute the exploration to
-        // the originating request's sequence.
-        std::optional<TraceContext> trace_ctx;
-        if (!trace_id.empty())
-            trace_ctx.emplace(trace_id);
-        std::optional<FlightScope> flight_scope;
-        if (job->flightSeq != 0)
-            flight_scope.emplace(job->flightSeq);
         TraceSpan span("serve.compile", "serve");
         span.arg("key", job->key);
         span.arg("queue_wait_ms", fmtDouble(queue_wait, 3));
@@ -605,17 +586,10 @@ CompileService::runJob(std::shared_ptr<Job> job)
             outcome.message = e.what();
         }
     }
-    if (!trace_id.empty()) {
-        // The root span has closed, so the tree is complete. Drop
-        // the spans afterwards (unless a global trace collection is
-        // running) so a long-lived server does not accumulate one
-        // request's spans forever.
-        auto &tracer = Tracer::global();
-        if (outcome.ok)
-            outcome.trace = tracer.spanTreeFor(trace_id);
-        if (!tracer.enabled())
-            tracer.releaseTrace(trace_id);
-    }
+    // The root span has closed, so the tree is complete.
+    if (outcome.ok && !trace_id.empty())
+        outcome.trace = FlightRecorder::global().traceTreeFor(
+            job->flightSeq, trace_id);
     // Publish to the cache *before* leaving the in-flight map (done
     // above), then deregister, then resolve the waiters: a racing
     // submit always finds the result either in flight or cached.
@@ -778,19 +752,17 @@ CompileService::slowlogJson(std::size_t limit) const
 Json
 CompileService::flightDump(const std::string &path) const
 {
-    Json dump = FlightRecorder::global().dumpJson();
-    auto records = static_cast<std::int64_t>(
-        FlightRecorder::global().recordCount());
+    FlightRecorder &recorder = FlightRecorder::global();
+    auto records = static_cast<std::int64_t>(recorder.recordCount());
     Json out = Json::object();
-    std::ofstream file(path);
-    if (!file.good()) {
+    try {
+        writeFileAtomic(path, recorder.dumpJson().dump() + "\n");
+    } catch (const std::exception &e) {
         out.set("ok", Json(false));
-        out.set("error", Json("cannot open " + path));
+        out.set("error", Json(e.what()));
         return out;
     }
-    file << dump.dump() << "\n";
-    file.flush();
-    out.set("ok", Json(file.good()));
+    out.set("ok", Json(true));
     out.set("path", Json(path));
     out.set("records", Json(records));
     return out;

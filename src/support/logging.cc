@@ -4,6 +4,8 @@
 #include <chrono>
 #include <ctime>
 
+#include "trace.hh"
+
 namespace amos {
 
 namespace {
@@ -52,13 +54,6 @@ utcTimestamp()
     return buf;
 }
 
-std::string &
-traceContextSlot()
-{
-    thread_local std::string slot;
-    return slot;
-}
-
 } // namespace
 
 const char *
@@ -99,29 +94,12 @@ logMessage(LogLevel level, const std::string &message)
     line += logLevelName(level);
     line += ": ";
     line += message;
-    const std::string &trace = logTraceContext();
+    std::string_view trace = FlightScope::currentLabel();
     if (!trace.empty())
-        line += " [trace=" + trace + "]";
+        line.append(" [trace=").append(trace).append("]");
     line += "\n";
     // One fwrite keeps concurrent threads' lines whole.
     std::fwrite(line.data(), 1, line.size(), stderr);
-}
-
-const std::string &
-logTraceContext()
-{
-    return traceContextSlot();
-}
-
-LogTraceScope::LogTraceScope(std::string traceId)
-    : _previous(std::move(traceContextSlot()))
-{
-    traceContextSlot() = std::move(traceId);
-}
-
-LogTraceScope::~LogTraceScope()
-{
-    traceContextSlot() = std::move(_previous);
 }
 
 } // namespace amos

@@ -10,8 +10,8 @@
  * Leveled logging: AMOS_LOG(Debug|Info|Warn|Error) streams one
  * timestamped line to stderr when the level passes the threshold
  * from the AMOS_LOG environment variable (debug|info|warn|error,
- * default info). A thread-local trace id — installed with
- * LogTraceScope around a request — is appended to every line, so
+ * default info). The trace label of the thread's request scope
+ * (FlightScope, support/trace.hh) is appended to every line, so
  * server logs correlate with exploration traces:
  *
  *   AMOS_LOG(Info) << "compiled " << key << " in " << ms << " ms";
@@ -118,28 +118,6 @@ bool logEnabled(LogLevel level);
  * AMOS_LOG macro does this for you).
  */
 void logMessage(LogLevel level, const std::string &message);
-
-/** The calling thread's current trace id ("" when none). */
-const std::string &logTraceContext();
-
-/**
- * RAII scope attaching a trace id to every log line the calling
- * thread emits; nests (the previous id is restored on exit). The
- * serve layer wraps each request's compilation in one of these so
- * stderr lines correlate with the request's trace_id.
- */
-class LogTraceScope
-{
-  public:
-    explicit LogTraceScope(std::string traceId);
-    ~LogTraceScope();
-
-    LogTraceScope(const LogTraceScope &) = delete;
-    LogTraceScope &operator=(const LogTraceScope &) = delete;
-
-  private:
-    std::string _previous;
-};
 
 namespace detail {
 

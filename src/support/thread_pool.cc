@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
-#include "flight_recorder.hh"
 #include "logging.hh"
 #include "trace.hh"
 
@@ -135,20 +133,16 @@ parallelFor(std::size_t n,
     std::mutex error_mutex;
     std::exception_ptr error;
 
-    // Fan the caller's per-request trace context and flight scope
-    // out with the work: spans opened inside bodies on pool workers
-    // stay attributed to the request that forked them.
-    std::string trace_id = TraceContext::currentId();
-    std::uint64_t flight_seq = FlightRecorder::currentSeq();
+    // Fan the caller's request scope out with the work: spans and
+    // log lines inside bodies on pool workers stay attributed to the
+    // request that forked them. The label outlives the loop: the
+    // caller's scope is still installed until parallelFor returns.
+    const std::uint64_t seq = FlightScope::currentSeq();
+    const std::string_view label = FlightScope::currentLabel();
 
     auto drive = [&]() {
         ParallelRegionGuard guard;
-        std::optional<TraceContext> trace_ctx;
-        if (!trace_id.empty())
-            trace_ctx.emplace(trace_id);
-        std::optional<FlightScope> flight_scope;
-        if (flight_seq != 0)
-            flight_scope.emplace(flight_seq);
+        FlightScope scope(seq, label);
         while (!failed.load(std::memory_order_relaxed)) {
             std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);

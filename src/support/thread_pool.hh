@@ -15,10 +15,10 @@
  * streams, per-index output slots — and fold results together
  * serially afterwards. See docs/exploration.md.
  *
- * Observability: parallelFor propagates the caller's TraceContext
- * (per-request trace id, see support/trace.hh) onto every worker it
- * borrows, so spans opened inside bodies stay attributed to the
- * request that forked them.
+ * Observability: parallelFor propagates the caller's FlightScope
+ * (request sequence number and trace label, see support/trace.hh)
+ * onto every worker it borrows, so spans and log lines inside bodies
+ * stay attributed to the request that forked them.
  */
 
 #ifndef AMOS_SUPPORT_THREAD_POOL_HH

@@ -1,28 +1,38 @@
 /**
  * @file
- * Structured tracing: scoped spans collected into per-thread buffers
- * and exported as Chrome trace-event JSON (loadable in Perfetto or
- * chrome://tracing).
+ * Span recording: one recording path for per-request traces,
+ * slowlog postmortems, flight dumps and the `--trace-out` Chrome
+ * export.
  *
- * Two recording modes, combinable:
+ * A TraceSpan that closes writes exactly one FlightRecord into the
+ * calling thread's fixed-capacity ring. Which spans are recorded:
  *
- *  - Global: Tracer::global().setEnabled(true) records every span in
- *    the process (the `--trace-out` flag of amos_cli/amos_served).
+ *  - Spans under a request scope. A FlightScope installs a request
+ *    sequence number (and optionally a trace label) on the thread;
+ *    parallelFor propagates it onto every worker it borrows. The
+ *    serve layer opens one scope per request and harvests the
+ *    request's records afterwards: into the response of a trace_id
+ *    request (traceTreeFor) and into the postmortem of a slow or
+ *    failed one (spanTreeFor).
+ *  - With setRecordUnscoped(true) (the `--trace-out` switch), spans
+ *    outside any scope too; toChromeJson() drains every resident
+ *    record into Chrome trace-event JSON.
  *
- *  - Per-request: a TraceContext installed on a thread tags spans
- *    with a trace id and records them even while global tracing is
- *    off. The serve layer uses this to attach a span tree to a
- *    single response without tracing the whole server; parallelFor
- *    propagates the context onto its worker threads.
+ * Otherwise a TraceSpan is inert: one thread-local read and one
+ * relaxed atomic load, cheap enough for every hot path.
  *
- * When neither mode is active, constructing a TraceSpan costs one
- * relaxed atomic load plus one thread-local read — cheap enough to
- * leave instrumentation in every hot path (see docs/observability.md
- * for the measured overhead).
+ * Rings overwrite their oldest records when full, so memory is
+ * bounded by `threads x capacity` forever. Recording a span takes
+ * one uncontended per-thread mutex and a fixed-size copy: names and
+ * categories are string literals stored as pointers, args are packed
+ * into an inline buffer — no allocation. bench_trace_overhead gates
+ * the scoped-recording overhead at < 5%.
  *
- * Thread safety: spans are appended under a per-thread mutex that is
- * uncontended except while an exporter snapshots the buffers, so the
- * tracer is safe (and TSan-clean) under concurrent tuning threads.
+ * Crash path: crashDump(fd) walks the rings without taking locks
+ * and writes one line per record using only async-signal-safe
+ * primitives (write(2), manual integer formatting), so a
+ * SIGSEGV/SIGABRT handler can preserve the last moments of every
+ * thread.
  */
 
 #ifndef AMOS_SUPPORT_TRACE_HH
@@ -31,168 +41,254 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "support/json.hh"
 
 namespace amos {
 
-/** One completed span, as stored in a thread buffer. */
-struct SpanRecord
-{
-    /// Span name ("mapping.enumerate", ...); see docs/observability.md
-    /// for the taxonomy.
-    std::string name;
-    /// Coarse subsystem category ("mapping", "explore", "sim", ...).
-    std::string category;
-    /// Per-request trace id (empty when recorded by global tracing
-    /// outside any TraceContext).
-    std::string traceId;
-    /// Key/value annotations, in insertion order.
-    std::vector<std::pair<std::string, std::string>> args;
+/**
+ * Ring capacity the `--trace-out` switch raises every thread to
+ * (before any span is recorded), so a trace file holds as many
+ * spans per thread as it ever did.
+ */
+constexpr std::size_t kTraceOutSpansPerThread = 1 << 16;
 
-    /// Start offset from the tracer epoch, microseconds.
+/** One recorded span, compact enough to live in a preallocated ring. */
+struct FlightRecord
+{
+    /// Span name/category — string literals owned by the program
+    /// image (TraceSpan takes `const char *`), never freed.
+    const char *name = nullptr;
+    const char *category = nullptr;
+    /// Request sequence number the span was recorded under (from
+    /// FlightRecorder::beginRequest); 0 = no request scope.
+    std::uint64_t seq = 0;
+    /// Start offset from the recorder epoch / duration, microseconds.
     double startUs = 0.0;
-    /// Duration, microseconds.
     double durUs = 0.0;
     /// Dense per-process thread index (stable per thread).
     std::uint32_t tid = 0;
-};
+    /// Bytes of `args` in use.
+    std::uint16_t argsLen = 0;
+    /// Args as back-to-back "key\0value\0" pairs. 128 bytes hold the
+    /// longest args the serve paths emit: serve.compile's full cache
+    /// key plus queue_wait_ms (~122 bytes for a warm-started
+    /// depthwise conv on a Xeon target). Longer args are truncated.
+    char args[128];
 
-/** Collects spans from all threads; exports Chrome trace JSON. */
-class Tracer
-{
-  public:
-    Tracer();
-
-    Tracer(const Tracer &) = delete;
-    Tracer &operator=(const Tracer &) = delete;
-
-    /** Turn global (record-everything) tracing on or off. */
-    void setEnabled(bool enabled);
-    bool
-    enabled() const
+    /** Visit every arg pair in insertion order: fn(key, value). */
+    template <typename Fn>
+    void
+    forEachArg(Fn &&fn) const
     {
-        return _enabled.load(std::memory_order_relaxed);
+        // Bounded by argsLen, not by the NULs alone: a torn record
+        // read by the lock-free crash dump must not run off the
+        // buffer.
+        const std::size_t len =
+            argsLen < sizeof(args) ? argsLen : sizeof(args);
+        auto field = [&](std::size_t from) {
+            const void *nul = std::memchr(args + from, '\0', len - from);
+            return std::string_view(
+                args + from, nul ? static_cast<const char *>(nul) -
+                                       (args + from)
+                                 : len - from);
+        };
+        for (std::size_t pos = 0; pos < len;) {
+            std::string_view key = field(pos);
+            pos += key.size() + 1;
+            if (pos >= len)
+                break;
+            std::string_view value = field(pos);
+            pos += value.size() + 1;
+            fn(key, value);
+        }
     }
 
-    /** Drop every recorded span (buffers stay registered). */
-    void clear();
+    /** "k=v k=v" rendering (slowlog postmortems, flight dumps). */
+    std::string argString() const;
+    /** {"k":"v",...} rendering (trace responses, Chrome export). */
+    Json argObject() const;
+};
 
-    /** Snapshot of all recorded spans across all threads. */
-    std::vector<SpanRecord> collect() const;
-
-    /** Number of spans currently recorded. */
-    std::size_t spanCount() const;
+/**
+ * The process-wide recorder of FlightRecords (global()): one ring
+ * per thread, registered on the thread's first record.
+ */
+class FlightRecorder
+{
+  public:
+    FlightRecorder(const FlightRecorder &) = delete;
+    FlightRecorder &operator=(const FlightRecorder &) = delete;
 
     /**
-     * Chrome trace-event JSON: {"traceEvents":[...],
-     * "displayTimeUnit":"ms"}, one complete ("ph":"X") event per
-     * span. Load in Perfetto (ui.perfetto.dev) or chrome://tracing.
+     * Allocate a request sequence number (monotonic, never 0).
+     * Install it on the serving thread with a FlightScope so the
+     * request's spans are attributed to it. While unscoped recording
+     * is on, a non-empty label is kept for the Chrome export's
+     * `trace_id` arg.
+     */
+    std::uint64_t beginRequest(std::string_view label = {});
+
+    /**
+     * Also record spans outside any request scope (`--trace-out`).
+     * Ring overwrites while this is on are counted in the global
+     * `trace.dropped_spans` metric: each one is a span the trace
+     * file loses.
+     */
+    void setRecordUnscoped(bool on);
+    bool
+    recordsUnscoped() const
+    {
+        return _recordUnscoped.load(std::memory_order_relaxed);
+    }
+
+    /**
+     * Per-thread ring capacity for subsequently *registered*
+     * threads (existing rings keep their size).
+     */
+    void setCapacityPerThread(std::size_t capacity);
+    std::size_t capacityPerThread() const;
+
+    /** Append one record to the calling thread's ring. */
+    void push(const FlightRecord &record);
+
+    /**
+     * Snapshot every record of one request across all rings,
+     * sorted by start time (parents before children).
+     */
+    std::vector<FlightRecord> harvest(std::uint64_t seq) const;
+
+    /**
+     * Span tree of one request, nested by time containment:
+     * {"flight_seq":N,"spans":[{name,cat,start_us,dur_us,
+     * args:"k=v k=v",children:[...]}]} (slowlog postmortems).
+     */
+    Json spanTreeFor(std::uint64_t seq) const;
+
+    /**
+     * The same tree for a trace_id response, args as objects:
+     * {"trace_id":..,"spans":[{name,cat,start_us,dur_us,
+     * args:{..},children:[...]}]}.
+     */
+    Json traceTreeFor(std::uint64_t seq,
+                      const std::string &traceId) const;
+
+    /**
+     * Everything currently held in the rings (all requests mixed),
+     * as {"records":[..],"overwritten":N} sorted by start time. The
+     * `flightdump` verb and `--flight-dump` write this to disk.
+     */
+    Json dumpJson() const;
+
+    /**
+     * Chrome trace-event JSON of every resident record:
+     * {"traceEvents":[...],"displayTimeUnit":"ms"}, one complete
+     * ("ph":"X") event per span. Load in Perfetto (ui.perfetto.dev)
+     * or chrome://tracing.
      */
     Json toChromeJson() const;
 
-    /** Write toChromeJson() to a file (fatal on I/O failure). */
-    void writeFile(const std::string &path) const;
+    /** Records currently resident across all rings. */
+    std::size_t recordCount() const;
+
+    /** Total records ever overwritten by ring wrap-around. */
+    std::uint64_t overwrittenCount() const;
+
+    /** Drop every resident record (rings stay registered). */
+    void clear();
 
     /**
-     * Nested span tree of one trace id: spans on the same thread
-     * nest by time containment, cross-thread spans attach to the
-     * innermost enclosing-in-time span of the spawning structure or
-     * to the root. Returns a JSON object {"trace_id":..,
-     * "spans":[{name,cat,start_us,dur_us,args,children:[...]}]}.
+     * Async-signal-safe dump of every ring to a file descriptor:
+     * one `flight tid=<t> seq=<s> start_us=<..> dur_us=<..>
+     * <name> [args]` line per record. Walks the rings WITHOUT
+     * locking — a crashed thread may hold a ring mutex — so a
+     * record being written concurrently can read torn; acceptable
+     * for a best-effort postmortem. Only write(2) and stack
+     * formatting, callable from SIGSEGV/SIGABRT handlers.
      */
-    Json spanTreeFor(const std::string &traceId) const;
+    void crashDump(int fd) const noexcept;
 
-    /**
-     * Erase every span tagged with the given trace id; returns the
-     * number erased. The serve layer calls this after attaching a
-     * span tree to a response so per-request tracing cannot grow the
-     * buffers without bound.
-     */
-    std::size_t releaseTrace(const std::string &traceId);
+    /** The process-wide recorder every TraceSpan records into. */
+    static FlightRecorder &global();
 
-    /**
-     * Per-thread buffer cap: once a thread holds this many spans,
-     * further records on it are dropped (counted in droppedSpans()
-     * and the global `trace.dropped_spans` metric) instead of
-     * growing without bound — a long-lived `--trace-out` server
-     * stays at bounded memory. Per-request traces are released
-     * after each response, so they never hit the cap in practice.
-     */
-    void setSpanCapPerThread(std::size_t cap);
-    std::size_t spanCapPerThread() const;
-
-    /** Spans dropped by the per-thread cap since process start. */
-    std::uint64_t droppedSpans() const;
-
-    /** The process-wide tracer every TraceSpan records into. */
-    static Tracer &global();
-
-    /// @name Internals shared with TraceSpan (not for direct use).
-    /// @{
-    using Clock = std::chrono::steady_clock;
     double
-    sinceEpochUs(Clock::time_point tp) const
+    sinceEpochUs(std::chrono::steady_clock::time_point tp) const
     {
         return std::chrono::duration<double, std::micro>(tp - _epoch)
             .count();
     }
-    void record(SpanRecord record);
-    /// @}
 
   private:
-    struct ThreadBuffer
+    FlightRecorder();
+
+    struct Ring
     {
         mutable std::mutex mutex;
-        std::vector<SpanRecord> spans;
+        std::vector<FlightRecord> slots; // preallocated, fixed size
+        std::size_t next = 0;            // next write position
+        std::size_t used = 0;            // live records (<= size)
         std::uint32_t tid = 0;
     };
 
-    ThreadBuffer &threadBuffer();
+    Ring &threadRing();
+    std::vector<FlightRecord> sorted(std::uint64_t seq,
+                                     bool allSeqs) const;
 
-    std::atomic<bool> _enabled{false};
-    std::atomic<std::size_t> _spanCap;
-    std::atomic<std::uint64_t> _dropped{0};
-    /// Global `trace.dropped_spans` counter, resolved once in the
-    /// constructor so the drop path never takes the registry lock.
+    std::atomic<bool> _recordUnscoped{false};
+    std::atomic<std::uint64_t> _nextSeq{1};
+    std::atomic<std::uint64_t> _overwritten{0};
+    std::atomic<std::size_t> _capacity;
+    /// Global `trace.dropped_spans` counter, resolved once so the
+    /// overwrite path never takes the registry lock.
     class MetricCounter *_dropCounter;
-    Clock::time_point _epoch;
 
     mutable std::mutex _registryMutex;
-    std::vector<std::shared_ptr<ThreadBuffer>> _buffers;
+    std::vector<std::shared_ptr<Ring>> _rings;
     std::uint32_t _nextTid = 0;
+    /// Trace labels of requests begun while recording unscoped.
+    std::map<std::uint64_t, std::string> _labels;
+
+    std::chrono::steady_clock::time_point _epoch;
 };
 
 /**
- * RAII per-request trace context: while alive, spans opened on this
- * thread (and on parallelFor workers it fans out to) carry the trace
- * id and are recorded even when global tracing is off. Contexts nest;
- * the innermost wins.
+ * RAII request scope: while alive, spans closing on this thread
+ * (and on parallelFor workers the thread fans out to) are recorded
+ * under the given sequence number, and log lines carry the label as
+ * `[trace=<label>]`. The label is not copied: it must outlive the
+ * scope. Scopes nest; the innermost wins. Sequence number 0 records
+ * nothing.
  */
-class TraceContext
+class FlightScope
 {
   public:
-    explicit TraceContext(std::string traceId);
-    ~TraceContext();
+    explicit FlightScope(std::uint64_t seq,
+                         std::string_view label = {});
+    ~FlightScope();
 
-    TraceContext(const TraceContext &) = delete;
-    TraceContext &operator=(const TraceContext &) = delete;
+    FlightScope(const FlightScope &) = delete;
+    FlightScope &operator=(const FlightScope &) = delete;
 
-    /** The active trace id on this thread (empty when none). */
-    static const std::string &currentId();
+    /** The active sequence number on this thread (0 when none). */
+    static std::uint64_t currentSeq();
+    /** The active trace label on this thread (empty when none). */
+    static std::string_view currentLabel();
 
   private:
-    std::string _previous;
+    std::uint64_t _previousSeq;
+    std::string_view _previousLabel;
 };
 
 /**
  * RAII scoped span. Construct at the top of the region to measure;
- * the span is recorded (if tracing is active) when it destructs.
+ * the span is recorded (if recording is active) when it destructs.
  *
  *   TraceSpan span("mapping.enumerate", "mapping");
  *   span.arg("intrinsic", intr.name());
@@ -208,30 +304,17 @@ class TraceSpan
     TraceSpan &operator=(const TraceSpan &) = delete;
 
     /** Attach an annotation (no-op when the span is inactive). */
-    void arg(const char *key, std::string value);
-    void
-    arg(const char *key, std::int64_t value)
-    {
-        arg(key, std::to_string(value));
-    }
+    void arg(const char *key, std::string_view value);
+    void arg(const char *key, std::int64_t value);
 
-    /** True when this span will be recorded (tracer or flight). */
-    bool active() const { return _active || _flight; }
+    /** True when this span will be recorded. */
+    bool active() const { return _active; }
 
   private:
-    /// Recording into the Tracer (global tracing or TraceContext).
     bool _active;
-    /// Recording into the flight-recorder ring (a FlightScope is
-    /// installed and the recorder is enabled).
-    bool _flight;
-    const char *_name;
-    const char *_category;
-    std::uint64_t _flightSeq = 0;
-    Tracer::Clock::time_point _start;
-    std::vector<std::pair<std::string, std::string>> _args;
-    /// Inline args for the flight record ("k=v k=v", truncated).
-    char _flightArgs[56];
-    std::size_t _flightArgsLen = 0;
+    /// The record under construction; pushed on destruction.
+    FlightRecord _record;
+    std::chrono::steady_clock::time_point _start;
 };
 
 } // namespace amos

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +28,20 @@ TensorComputation
 benchConv()
 {
     return ops::resnet18ConvLayers(16)[5].build();
+}
+
+/** Leftover `<path>.tmp*` files next to `path`. */
+std::size_t
+tempSiblings(const std::string &path)
+{
+    const std::filesystem::path target(path);
+    const std::string prefix = target.filename().string() + ".tmp";
+    std::size_t count = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             target.parent_path()))
+        if (entry.path().filename().string().rfind(prefix, 0) == 0)
+            ++count;
+    return count;
 }
 
 TEST(CacheSerialise, MappingRoundTrip)
@@ -148,11 +166,65 @@ TEST(TuningCacheTest, SaveIsAtomicAndLeavesNoTempFile)
         stale << "stale garbage";
     }
     cache.saveFile(path);
-    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    EXPECT_EQ(tempSiblings(path), 0u);
     auto loaded = TuningCache::loadFile(path);
     std::remove(path.c_str());
     EXPECT_EQ(loaded.size(), 1u);
     EXPECT_TRUE(loaded.contains("k"));
+}
+
+TEST(TuningCacheTest, ConcurrentSaversOfOnePathNeverCollide)
+{
+    // Two servers sharing a --cache-dir save the same file. Each
+    // save must install one complete document: no throw, no torn
+    // file, no temp file left behind.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("amos_cache_race_" + std::to_string(::getpid()) + ".json"))
+            .string();
+    const int kThreads = 8;
+    const int kSaves = 25;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            TuningCache cache;
+            for (int i = 0; i <= t; ++i) {
+                CacheEntry entry;
+                entry.intrinsicName = "wmma_16x16x16";
+                entry.mapping.groups = {{0}, {1}, {4}};
+                entry.cycles = static_cast<double>(t);
+                cache.insert("t" + std::to_string(t) + "_" +
+                                 std::to_string(i),
+                             entry);
+            }
+            for (int i = 0; i < kSaves; ++i) {
+                try {
+                    cache.saveFile(path);
+                } catch (const std::exception &) {
+                    failures.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    Json doc;
+    ASSERT_NO_THROW(doc = Json::parse(text.str()));
+    // The file is one saver's whole document: t+1 entries of t.
+    auto loaded = TuningCache::fromJson(doc);
+    ASSERT_GE(loaded.size(), 1u);
+    const int winner = static_cast<int>(loaded.size()) - 1;
+    for (int i = 0; i <= winner; ++i)
+        EXPECT_TRUE(loaded.contains("t" + std::to_string(winner) +
+                                    "_" + std::to_string(i)));
+    EXPECT_EQ(tempSiblings(path), 0u);
+    std::remove(path.c_str());
 }
 
 TEST(TuningCacheTest, LoadToleratesTruncatedFile)

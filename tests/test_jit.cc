@@ -602,27 +602,28 @@ TEST(JitCache, PipelineStagesEmitTraceSpans)
     const std::string src = tinyKernel("spans");
     const std::string key = engine.cachePathFor(src);
 
-    Tracer::global().clear();
-    Tracer::global().setEnabled(true);
+    auto &recorder = FlightRecorder::global();
+    const std::uint64_t seq = recorder.beginRequest();
     std::string why;
-    ExecKernelFn fn = engine.getOrCompile(src, &why);
-    Tracer::global().setEnabled(false);
+    ExecKernelFn fn;
+    {
+        FlightScope scope(seq);
+        fn = engine.getOrCompile(src, &why);
+    }
     ASSERT_NE(fn, nullptr) << why;
 
-    auto spans = Tracer::global().collect();
-    Tracer::global().clear();
     bool compiled = false, opened = false;
-    for (const auto &span : spans) {
-        if (span.name == "jit.compile") {
+    for (const auto &span : recorder.harvest(seq)) {
+        if (std::string(span.name) == "jit.compile") {
             compiled = true;
             // Carries the content-hash cache key for correlation
             // with the on-disk object name.
-            ASSERT_FALSE(span.args.empty());
-            EXPECT_EQ(span.args[0].first, "key");
-            EXPECT_NE(key.find(span.args[0].second),
+            Json args = span.argObject();
+            ASSERT_TRUE(args.has("key"));
+            EXPECT_NE(key.find(args.get("key").asString()),
                       std::string::npos);
         }
-        if (span.name == "jit.dlopen")
+        if (std::string(span.name) == "jit.dlopen")
             opened = true;
     }
     EXPECT_TRUE(compiled);

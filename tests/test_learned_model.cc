@@ -9,10 +9,13 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "explore/learned_model.hh"
 #include "explore/stats.hh"
@@ -198,6 +201,37 @@ TEST(Snapshot, SaveAndLoadFileRoundTrip)
                   ".json"))
                     .string();
     model.saveFile(path);
+    auto loaded = LearnedModel::loadFile(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->digest(), model.digest());
+}
+
+TEST(Snapshot, ConcurrentSaversOfOnePathNeverCollide)
+{
+    // A trainer and a reloading server (or two trainers) writing one
+    // snapshot path: every save installs a whole snapshot.
+    auto model = trainedModel(60, 22);
+    auto path = (std::filesystem::temp_directory_path() /
+                 ("amos_model_race_" + std::to_string(::getpid()) +
+                  ".json"))
+                    .string();
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&] {
+            for (int i = 0; i < 20; ++i) {
+                try {
+                    model.saveFile(path);
+                } catch (const std::exception &) {
+                    failures.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(failures.load(), 0);
     auto loaded = LearnedModel::loadFile(path);
     std::remove(path.c_str());
     ASSERT_TRUE(loaded.has_value());

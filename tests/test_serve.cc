@@ -15,12 +15,15 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "explore/tuner.hh"
+#include "amos/cache.hh"
 #include "explore/warm_start.hh"
 #include "ops/operators.hh"
 #include "serve/server.hh"
@@ -886,9 +889,9 @@ TEST(Service, SlowRequestYieldsPostmortemWithoutTraceId)
     options.slowMs = 0.001; // everything is "slow"
     CompileService service(options);
 
-    // Nobody passed a trace_id and global tracing is off: the
-    // flight recorder alone must reconstruct the request.
-    ASSERT_FALSE(Tracer::global().enabled());
+    // Nobody passed a trace_id and unscoped recording is off: the
+    // request's scope alone must reconstruct the request.
+    ASSERT_FALSE(FlightRecorder::global().recordsUnscoped());
     auto outcome = service.serve(fastRequest());
     ASSERT_TRUE(outcome.ok);
     EXPECT_GE(outcome.queueWaitMs, 0.0);
@@ -929,6 +932,69 @@ TEST(Service, SlowRequestYieldsPostmortemWithoutTraceId)
         tuned |= children.at(i).get("name").asString() ==
                  "explore.tune";
     EXPECT_TRUE(tuned);
+}
+
+/** Name, start and duration of every span in a tree, pre-order. */
+void
+flattenSpans(const Json &spans,
+             std::multiset<std::tuple<std::string, double, double>> &out)
+{
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const Json &span = spans.at(i);
+        out.emplace(span.get("name").asString(),
+                    span.get("start_us").asNumber(),
+                    span.get("dur_us").asNumber());
+        if (span.has("children"))
+            flattenSpans(span.get("children"), out);
+    }
+}
+
+/**
+ * One traced compile, forced slow: its trace_id response and its
+ * slowlog postmortem are two renderings of the same ring records —
+ * the same spans with the same timestamps — and both carry
+ * serve.compile's full cache key and queue wait.
+ */
+TEST(Service, TraceAndPostmortemShareOneRecording)
+{
+    ServeOptions options;
+    options.workers = 1;
+    options.slowMs = 0.001; // everything is "slow"
+    CompileService service(options);
+
+    auto req = fastRequest();
+    req.hw = "xeon";
+    req.dtype = "u8i8";
+    req.traceId = "fidelity";
+    const std::string key =
+        TuningCache::keyFor(computationFromRequest(req),
+                            hardwareFromRequest(req)) +
+        "/g2_s" + std::to_string(req.seed);
+    auto outcome = service.serve(req);
+    ASSERT_TRUE(outcome.ok);
+    ASSERT_FALSE(outcome.trace.isNull());
+
+    Json slowlog = service.slowlogJson(1);
+    ASSERT_EQ(slowlog.get("postmortems").size(), 1u);
+    const Json &pm_trace = slowlog.get("postmortems").at(0).get("trace");
+
+    std::multiset<std::tuple<std::string, double, double>> traced,
+        retained;
+    flattenSpans(outcome.trace.get("spans"), traced);
+    flattenSpans(pm_trace.get("spans"), retained);
+    EXPECT_GT(traced.size(), 1u);
+    EXPECT_EQ(traced, retained);
+
+    const Json &traced_root = outcome.trace.get("spans").at(0);
+    const Json &retained_root = pm_trace.get("spans").at(0);
+    ASSERT_EQ(traced_root.get("name").asString(), "serve.compile");
+    ASSERT_EQ(retained_root.get("name").asString(), "serve.compile");
+    const Json &args = traced_root.get("args");
+    EXPECT_EQ(args.get("key").asString(), key);
+    ASSERT_TRUE(args.has("queue_wait_ms"));
+    EXPECT_EQ(retained_root.get("args").asString(),
+              "key=" + key + " queue_wait_ms=" +
+                  args.get("queue_wait_ms").asString());
 }
 
 TEST(Service, ShedRequestsAreRetainedWithAdmissionState)

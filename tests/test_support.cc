@@ -1,17 +1,24 @@
 /**
  * @file
  * Unit tests for the support library: bit matrices, math helpers,
- * logging, string utilities, the seeded RNG, the LRU map, the
- * latency histogram, and the cancellation token.
+ * logging, the atomic file writer, string utilities, the seeded
+ * RNG, the LRU map, the latency histogram, and the cancellation
+ * token.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "support/atomic_file.hh"
 #include "support/bit_matrix.hh"
 #include "support/cancellation.hh"
 #include "support/histogram.hh"
@@ -165,6 +172,27 @@ TEST(Logging, MessagesCarryFormattedContent)
         EXPECT_NE(std::string(e.what()).find("value was 7 not 8"),
                   std::string::npos);
     }
+}
+
+TEST(AtomicFile, ReplacesContentWholesale)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("amos_atomic_" + std::to_string(::getpid()) + ".txt"))
+            .string();
+    writeFileAtomic(path, "first, longer document\n");
+    writeFileAtomic(path, "second\n");
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, "second\n");
+    std::remove(path.c_str());
+}
+
+TEST(AtomicFile, UnwritableDirectoryIsAFatalError)
+{
+    EXPECT_THROW(writeFileAtomic("/nonexistent-dir/x.json", "{}"),
+                 FatalError);
 }
 
 TEST(StrUtils, JoinAndPad)

@@ -1,9 +1,12 @@
 /**
  * @file
- * Tests for the tracing + metrics subsystem: span recording and
- * nesting, Chrome trace-event export, per-request trace contexts
- * (including propagation through parallelFor), concurrency under a
- * 16-thread hammer (run under TSan in CI), and the MetricsRegistry.
+ * Tests for the span recorder + metrics subsystem: span recording
+ * and nesting, Chrome trace-event export, request scopes (including
+ * propagation of the seq and trace label through parallelFor, into
+ * spans and log lines), the per-thread rings (wrap-around, harvest,
+ * span trees, dumps, the async-signal-safe crash dump), concurrency
+ * under 16-thread hammers (run under TSan in CI), and the
+ * MetricsRegistry.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +21,7 @@
 #include "hw/hardware.hh"
 #include "mapping/generate.hh"
 #include "ops/operators.hh"
-#include "support/flight_recorder.hh"
+#include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/thread_pool.hh"
 #include "support/trace.hh"
@@ -27,23 +30,24 @@ using namespace amos;
 
 namespace {
 
-/** RAII guard: global tracing on for the test, clean slate around. */
+/** RAII guard: unscoped recording on for the test, clean slate
+ *  around. */
 struct GlobalTracing
 {
     GlobalTracing()
     {
-        Tracer::global().clear();
-        Tracer::global().setEnabled(true);
+        FlightRecorder::global().clear();
+        FlightRecorder::global().setRecordUnscoped(true);
     }
     ~GlobalTracing()
     {
-        Tracer::global().setEnabled(false);
-        Tracer::global().clear();
+        FlightRecorder::global().setRecordUnscoped(false);
+        FlightRecorder::global().clear();
     }
 };
 
-SpanRecord
-findSpan(const std::vector<SpanRecord> &spans, const std::string &name)
+FlightRecord
+findSpan(const std::vector<FlightRecord> &spans, const std::string &name)
 {
     for (const auto &span : spans)
         if (span.name == name)
@@ -56,14 +60,15 @@ findSpan(const std::vector<SpanRecord> &spans, const std::string &name)
 
 TEST(Trace, DisabledSpanRecordsNothing)
 {
-    Tracer::global().clear();
-    ASSERT_FALSE(Tracer::global().enabled());
+    auto &recorder = FlightRecorder::global();
+    recorder.clear();
+    ASSERT_FALSE(recorder.recordsUnscoped());
     {
         TraceSpan span("test.disabled", "test");
         EXPECT_FALSE(span.active());
         span.arg("ignored", std::string("value"));
     }
-    EXPECT_EQ(Tracer::global().spanCount(), 0u);
+    EXPECT_EQ(recorder.recordCount(), 0u);
 }
 
 TEST(Trace, GlobalEnableRecordsSpansWithArgs)
@@ -75,14 +80,16 @@ TEST(Trace, GlobalEnableRecordsSpansWithArgs)
         span.arg("key", std::string("value"));
         span.arg("count", static_cast<std::int64_t>(42));
     }
-    auto spans = Tracer::global().collect();
+    auto spans = FlightRecorder::global().harvest(0);
     ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].name, "test.outer");
-    EXPECT_EQ(spans[0].category, "test");
-    ASSERT_EQ(spans[0].args.size(), 2u);
-    EXPECT_EQ(spans[0].args[0].first, "key");
-    EXPECT_EQ(spans[0].args[0].second, "value");
-    EXPECT_EQ(spans[0].args[1].second, "42");
+    EXPECT_STREQ(spans[0].name, "test.outer");
+    EXPECT_STREQ(spans[0].category, "test");
+    EXPECT_EQ(spans[0].seq, 0u);
+    Json args = spans[0].argObject();
+    EXPECT_EQ(args.entries().size(), 2u);
+    EXPECT_EQ(args.get("key").asString(), "value");
+    EXPECT_EQ(args.get("count").asString(), "42");
+    EXPECT_EQ(spans[0].argString(), "key=value count=42");
     EXPECT_GE(spans[0].durUs, 0.0);
 }
 
@@ -95,7 +102,7 @@ TEST(Trace, NestedSpansAreTimeContained)
             TraceSpan inner("test.inner", "test");
         }
     }
-    auto spans = Tracer::global().collect();
+    auto spans = FlightRecorder::global().harvest(0);
     ASSERT_EQ(spans.size(), 2u);
     auto outer = findSpan(spans, "test.outer");
     auto inner = findSpan(spans, "test.inner");
@@ -111,7 +118,7 @@ TEST(Trace, ChromeJsonShape)
         TraceSpan span("test.event", "test");
         span.arg("k", std::string("v"));
     }
-    Json doc = Tracer::global().toChromeJson();
+    Json doc = FlightRecorder::global().toChromeJson();
     EXPECT_EQ(doc.get("displayTimeUnit").asString(), "ms");
     const Json &events = doc.get("traceEvents");
     ASSERT_EQ(events.size(), 1u);
@@ -124,71 +131,139 @@ TEST(Trace, ChromeJsonShape)
     EXPECT_TRUE(event.has("pid"));
     EXPECT_TRUE(event.has("tid"));
     EXPECT_EQ(event.get("args").get("k").asString(), "v");
+    EXPECT_FALSE(event.get("args").has("trace_id"));
+}
+
+TEST(Trace, ChromeJsonCarriesTheTraceLabel)
+{
+    GlobalTracing guard;
+    auto &recorder = FlightRecorder::global();
+    const std::string label = "req-7";
+    {
+        FlightScope scope(recorder.beginRequest(label), label);
+        TraceSpan span("test.labelled", "test");
+    }
+    const Json doc = recorder.toChromeJson();
+    const Json &events = doc.get("traceEvents");
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events.at(0).get("args").get("trace_id").asString(),
+              "req-7");
 }
 
 TEST(Trace, ContextRecordsWhileGlobalOff)
 {
-    Tracer::global().clear();
-    ASSERT_FALSE(Tracer::global().enabled());
+    auto &recorder = FlightRecorder::global();
+    recorder.clear();
+    ASSERT_FALSE(recorder.recordsUnscoped());
+    const std::uint64_t seq = recorder.beginRequest();
     {
-        TraceContext ctx("req-1");
+        FlightScope scope(seq, "req-1");
         TraceSpan span("test.tagged", "test");
         EXPECT_TRUE(span.active());
     }
     {
-        // Context gone: back to the disabled fast path.
+        // Scope gone: back to the inert fast path.
         TraceSpan span("test.untagged", "test");
         EXPECT_FALSE(span.active());
     }
-    auto spans = Tracer::global().collect();
+    EXPECT_EQ(recorder.recordCount(), 1u);
+    auto spans = recorder.harvest(seq);
     ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].traceId, "req-1");
-    Tracer::global().releaseTrace("req-1");
-    EXPECT_EQ(Tracer::global().spanCount(), 0u);
+    EXPECT_STREQ(spans[0].name, "test.tagged");
 }
 
 TEST(Trace, ContextsNestInnermostWins)
 {
-    Tracer::global().clear();
-    TraceContext outer("outer-id");
-    EXPECT_EQ(TraceContext::currentId(), "outer-id");
+    auto &recorder = FlightRecorder::global();
+    recorder.clear();
+    const std::uint64_t outer_seq = recorder.beginRequest();
+    const std::uint64_t inner_seq = recorder.beginRequest();
+    FlightScope outer(outer_seq, "outer-id");
+    EXPECT_EQ(FlightScope::currentLabel(), "outer-id");
     {
-        TraceContext inner("inner-id");
-        EXPECT_EQ(TraceContext::currentId(), "inner-id");
+        FlightScope inner(inner_seq, "inner-id");
+        EXPECT_EQ(FlightScope::currentSeq(), inner_seq);
+        EXPECT_EQ(FlightScope::currentLabel(), "inner-id");
         TraceSpan span("test.inner", "test");
     }
-    EXPECT_EQ(TraceContext::currentId(), "outer-id");
-    auto spans = Tracer::global().collect();
-    ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].traceId, "inner-id");
-    Tracer::global().releaseTrace("inner-id");
+    EXPECT_EQ(FlightScope::currentSeq(), outer_seq);
+    EXPECT_EQ(FlightScope::currentLabel(), "outer-id");
+    EXPECT_EQ(recorder.harvest(inner_seq).size(), 1u);
+    EXPECT_TRUE(recorder.harvest(outer_seq).empty());
 }
 
 TEST(Trace, ContextPropagatesThroughParallelFor)
 {
-    Tracer::global().clear();
+    auto &recorder = FlightRecorder::global();
+    recorder.clear();
+    const std::uint64_t seq = recorder.beginRequest();
+    std::vector<std::string> labels(16);
     {
-        TraceContext ctx("fanout");
+        FlightScope scope(seq, "fanout");
         parallelFor(
             16,
-            [](std::size_t) {
+            [&](std::size_t i) {
                 TraceSpan span("test.worker", "test");
+                labels[i] = std::string(FlightScope::currentLabel());
             },
             4);
     }
-    auto spans = Tracer::global().collect();
-    ASSERT_EQ(spans.size(), 16u);
-    for (const auto &span : spans)
-        EXPECT_EQ(span.traceId, "fanout");
-    Tracer::global().releaseTrace("fanout");
+    EXPECT_EQ(recorder.harvest(seq).size(), 16u);
+    for (const auto &label : labels)
+        EXPECT_EQ(label, "fanout");
+}
+
+/**
+ * The `[trace=<id>]` log tag reads the request scope's label, so a
+ * line logged by a parallelFor body on a pool worker is tagged like
+ * one logged on the requesting thread.
+ */
+TEST(Trace, LogLinesInParallelForCarryTheTraceLabel)
+{
+    const std::uint64_t seq = FlightRecorder::global().beginRequest();
+    testing::internal::CaptureStderr();
+    {
+        FlightScope scope(seq, "logged-req");
+        parallelFor(
+            16,
+            [](std::size_t i) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+                logMessage(LogLevel::Info,
+                           "body " + std::to_string(i));
+            },
+            4);
+    }
+    logMessage(LogLevel::Info, "after the scope");
+    std::string text = testing::internal::GetCapturedStderr();
+
+    int bodies = 0;
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        std::size_t end = text.find('\n', pos);
+        std::string line = text.substr(pos, end - pos);
+        pos = end == std::string::npos ? text.size() : end + 1;
+        if (line.find(": body ") != std::string::npos) {
+            ++bodies;
+            EXPECT_NE(line.find("[trace=logged-req]"),
+                      std::string::npos)
+                << line;
+        } else if (line.find("after the scope") != std::string::npos) {
+            EXPECT_EQ(line.find("[trace="), std::string::npos) << line;
+        }
+    }
+    EXPECT_EQ(bodies, 16);
 }
 
 TEST(Trace, SpanTreeNestsByTimeContainment)
 {
-    Tracer::global().clear();
+    auto &recorder = FlightRecorder::global();
+    recorder.clear();
+    const std::uint64_t seq = recorder.beginRequest();
     {
-        TraceContext ctx("tree");
+        FlightScope scope(seq, "tree");
         TraceSpan root("test.root", "test");
+        root.arg("k", std::string("v"));
         {
             TraceSpan childA("test.child_a", "test");
             {
@@ -199,12 +274,14 @@ TEST(Trace, SpanTreeNestsByTimeContainment)
             TraceSpan childB("test.child_b", "test");
         }
     }
-    Json tree = Tracer::global().spanTreeFor("tree");
+    Json tree = recorder.traceTreeFor(seq, "tree");
     EXPECT_EQ(tree.get("trace_id").asString(), "tree");
     const Json &roots = tree.get("spans");
     ASSERT_EQ(roots.size(), 1u);
     const Json &root = roots.at(0);
     EXPECT_EQ(root.get("name").asString(), "test.root");
+    // Trace responses render args as an object.
+    EXPECT_EQ(root.get("args").get("k").asString(), "v");
     const Json &children = root.get("children");
     ASSERT_EQ(children.size(), 2u);
     EXPECT_EQ(children.at(0).get("name").asString(), "test.child_a");
@@ -213,31 +290,12 @@ TEST(Trace, SpanTreeNestsByTimeContainment)
     ASSERT_EQ(grandchildren.size(), 1u);
     EXPECT_EQ(grandchildren.at(0).get("name").asString(),
               "test.grandchild");
-    Tracer::global().releaseTrace("tree");
-}
-
-TEST(Trace, ReleaseTraceDropsOnlyThatId)
-{
-    Tracer::global().clear();
-    {
-        TraceContext ctx("keep");
-        TraceSpan span("test.keep", "test");
-    }
-    {
-        TraceContext ctx("drop");
-        TraceSpan span("test.drop", "test");
-    }
-    EXPECT_EQ(Tracer::global().releaseTrace("drop"), 1u);
-    auto spans = Tracer::global().collect();
-    ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].traceId, "keep");
-    Tracer::global().releaseTrace("keep");
 }
 
 /**
- * 16 threads hammering span creation, context switches, and
- * concurrent exports; run under TSan in CI. Assertions are minimal
- * on purpose — the test exists to surface races, not behaviour.
+ * 16 threads hammering span creation and concurrent exports; run
+ * under TSan in CI. Assertions are minimal on purpose — the test
+ * exists to surface races, not behaviour.
  */
 TEST(Trace, ConcurrentSpanHammer)
 {
@@ -246,26 +304,26 @@ TEST(Trace, ConcurrentSpanHammer)
     const int kSpansPerThread = 200;
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([t] {
-            TraceContext ctx("hammer-" + std::to_string(t % 4));
+        threads.emplace_back([] {
             for (int i = 0; i < kSpansPerThread; ++i) {
                 TraceSpan span("test.hammer", "test");
                 span.arg("i", static_cast<std::int64_t>(i));
                 if (i % 50 == 0) {
                     // Concurrent export while writers are active.
-                    Tracer::global().collect();
-                    Tracer::global().spanCount();
+                    FlightRecorder::global().toChromeJson();
+                    FlightRecorder::global().recordCount();
                 }
             }
         });
     }
     for (auto &thread : threads)
         thread.join();
-    EXPECT_EQ(Tracer::global().spanCount(),
+    auto spans = FlightRecorder::global().harvest(0);
+    EXPECT_EQ(spans.size(),
               static_cast<std::size_t>(kThreads * kSpansPerThread));
     // Thread ids must be distinct per thread.
     std::set<std::uint32_t> tids;
-    for (const auto &span : Tracer::global().collect())
+    for (const auto &span : spans)
         tids.insert(span.tid);
     EXPECT_GE(tids.size(), 2u);
 }
@@ -277,7 +335,8 @@ TEST(Trace, ConcurrentSpanHammer)
  */
 TEST(Trace, TracedTuneEmitsPipelineSpans)
 {
-    Tracer::global().clear();
+    auto &recorder = FlightRecorder::global();
+    recorder.clear();
     auto hw = hw::v100();
     auto comp = ops::makeGemm(64, 64, 64);
     std::vector<MappingPlan> plans;
@@ -294,17 +353,15 @@ TEST(Trace, TracedTuneEmitsPipelineSpans)
     options.population = 8;
     options.measureTopK = 2;
     options.numThreads = 4;
+    const std::uint64_t seq = recorder.beginRequest();
     {
-        TraceContext ctx("tune-req");
+        FlightScope scope(seq, "tune-req");
         auto result = tuneWithPlans(plans, hw, options);
         ASSERT_TRUE(result.tensorizable);
     }
-    auto spans = Tracer::global().collect();
     std::set<std::string> names;
-    for (const auto &span : spans) {
-        EXPECT_EQ(span.traceId, "tune-req");
+    for (const auto &span : recorder.harvest(seq))
         names.insert(span.name);
-    }
     for (const char *expected :
          {"explore.tune", "explore.generation", "explore.model_eval",
           "explore.measure", "schedule.sample", "schedule.expert",
@@ -314,7 +371,7 @@ TEST(Trace, TracedTuneEmitsPipelineSpans)
 
     // The tree roots at explore.tune and contains a generation span
     // which in turn contains the model evaluation.
-    Json tree = Tracer::global().spanTreeFor("tune-req");
+    Json tree = recorder.traceTreeFor(seq, "tune-req");
     const Json &roots = tree.get("spans");
     ASSERT_GE(roots.size(), 1u);
     EXPECT_EQ(roots.at(0).get("name").asString(), "explore.tune");
@@ -326,7 +383,6 @@ TEST(Trace, TracedTuneEmitsPipelineSpans)
             found_gen = true;
     }
     EXPECT_TRUE(found_gen);
-    Tracer::global().releaseTrace("tune-req");
 }
 
 // ---------------------------------------------------------------
@@ -407,11 +463,11 @@ TEST(Flight, SpansOutsideAScopeRecordNothing)
 {
     auto &recorder = FlightRecorder::global();
     recorder.clear();
-    ASSERT_TRUE(recorder.enabled());
-    ASSERT_EQ(FlightRecorder::currentSeq(), 0u);
+    ASSERT_FALSE(recorder.recordsUnscoped());
+    ASSERT_EQ(FlightScope::currentSeq(), 0u);
     {
         TraceSpan span("test.unscoped", "test");
-        // Tracer off + no scope: the span is fully inert.
+        // No scope, unscoped recording off: the span is fully inert.
         EXPECT_FALSE(span.active());
     }
     EXPECT_EQ(recorder.recordCount(), 0u);
@@ -425,39 +481,61 @@ TEST(Flight, ScopedSpansCarrySeqAndArgs)
     ASSERT_NE(seq, 0u);
     {
         FlightScope scope(seq);
-        EXPECT_EQ(FlightRecorder::currentSeq(), seq);
+        EXPECT_EQ(FlightScope::currentSeq(), seq);
         TraceSpan span("test.scoped", "test");
         EXPECT_TRUE(span.active());
         span.arg("key", std::string("value"));
         span.arg("count", static_cast<std::int64_t>(7));
     }
-    EXPECT_EQ(FlightRecorder::currentSeq(), 0u);
+    EXPECT_EQ(FlightScope::currentSeq(), 0u);
 
     auto records = recorder.harvest(seq);
     ASSERT_EQ(records.size(), 1u);
     EXPECT_STREQ(records[0].name, "test.scoped");
     EXPECT_STREQ(records[0].category, "test");
     EXPECT_EQ(records[0].seq, seq);
-    EXPECT_STREQ(records[0].args, "key=value count=7");
+    EXPECT_EQ(records[0].argString(), "key=value count=7");
     // A different request's harvest stays empty.
     EXPECT_TRUE(recorder.harvest(seq + 1).empty());
-    // The tracer saw none of it (global tracing is off).
-    EXPECT_EQ(Tracer::global().spanCount(), 0u);
 }
 
-TEST(Flight, DisabledRecorderIgnoresScopedSpans)
+TEST(Flight, SeqZeroScopeRecordsNothing)
 {
+    // "Off" is the absence of a scope: a seq-0 scope masks an
+    // enclosing request scope.
     auto &recorder = FlightRecorder::global();
     recorder.clear();
-    recorder.setEnabled(false);
     const std::uint64_t seq = recorder.beginRequest();
     {
         FlightScope scope(seq);
+        FlightScope off(0);
         TraceSpan span("test.dark", "test");
         EXPECT_FALSE(span.active());
     }
-    recorder.setEnabled(true);
     EXPECT_TRUE(recorder.harvest(seq).empty());
+    EXPECT_EQ(recorder.recordCount(), 0u);
+}
+
+TEST(Flight, LongArgsAreTruncatedInPlace)
+{
+    auto &recorder = FlightRecorder::global();
+    recorder.clear();
+    const std::uint64_t seq = recorder.beginRequest();
+    const std::string longValue(300, 'x');
+    {
+        FlightScope scope(seq);
+        TraceSpan span("test.long", "test");
+        span.arg("a", std::string("1"));
+        span.arg("big", longValue);
+        span.arg("late", std::string("dropped"));
+    }
+    auto records = recorder.harvest(seq);
+    ASSERT_EQ(records.size(), 1u);
+    Json args = records[0].argObject();
+    EXPECT_EQ(args.get("a").asString(), "1");
+    // "a\0" "1\0" "big\0" leave 120 bytes: 119 chars plus the NUL.
+    EXPECT_EQ(args.get("big").asString(), std::string(119, 'x'));
+    EXPECT_FALSE(args.has("late"));
 }
 
 TEST(Flight, RingOverwritesOldestWhenFull)
@@ -512,6 +590,7 @@ TEST(Flight, SpanTreeNestsByTimeContainment)
     {
         FlightScope scope(seq);
         TraceSpan outer("test.outer", "test");
+        outer.arg("k", std::string("v"));
         {
             TraceSpan inner("test.inner", "test");
             std::this_thread::sleep_for(
@@ -525,6 +604,8 @@ TEST(Flight, SpanTreeNestsByTimeContainment)
     const Json &spans = tree.get("spans");
     ASSERT_EQ(spans.size(), 1u);
     EXPECT_EQ(spans.at(0).get("name").asString(), "test.outer");
+    // Postmortems render args as one "k=v k=v" string.
+    EXPECT_EQ(spans.at(0).get("args").asString(), "k=v");
     const Json &children = spans.at(0).get("children");
     ASSERT_EQ(children.size(), 1u);
     EXPECT_EQ(children.at(0).get("name").asString(), "test.inner");
@@ -541,6 +622,7 @@ TEST(Flight, CrashDumpIsPlainTextOverAFd)
         FlightScope scope(seq);
         TraceSpan span("test.crash", "test");
         span.arg("key", std::string("v"));
+        span.arg("n", static_cast<std::int64_t>(3));
     }
 
     std::FILE *tmp = std::tmpfile();
@@ -557,8 +639,7 @@ TEST(Flight, CrashDumpIsPlainTextOverAFd)
 
     EXPECT_NE(text.find("=== amos flight recorder dump ==="),
               std::string::npos);
-    EXPECT_NE(text.find("test.crash"), std::string::npos);
-    EXPECT_NE(text.find("key=v"), std::string::npos);
+    EXPECT_NE(text.find("test.crash [key=v n=3]"), std::string::npos);
     EXPECT_NE(text.find("seq="), std::string::npos);
 }
 
@@ -566,6 +647,7 @@ TEST(Flight, DumpJsonListsEveryResidentRecord)
 {
     auto &recorder = FlightRecorder::global();
     recorder.clear();
+    const std::uint64_t overwritten = recorder.overwrittenCount();
     const std::uint64_t a = recorder.beginRequest();
     const std::uint64_t b = recorder.beginRequest();
     {
@@ -584,7 +666,8 @@ TEST(Flight, DumpJsonListsEveryResidentRecord)
     EXPECT_EQ(records.at(1).get("name").asString(), "test.second");
     EXPECT_EQ(records.at(0).get("seq").asInt(),
               static_cast<std::int64_t>(a));
-    EXPECT_EQ(dump.get("overwritten").asInt(), 0);
+    EXPECT_EQ(dump.get("overwritten").asInt(),
+              static_cast<std::int64_t>(overwritten));
 }
 
 TEST(Flight, ConcurrentScopesAndHarvestsSurviveHammer)
@@ -617,23 +700,26 @@ TEST(Flight, ConcurrentScopesAndHarvestsSurviveHammer)
 
 TEST(Trace, SpanCapDropsAndCountsOverflow)
 {
+    // A --trace-out ring that wraps loses its oldest spans; each
+    // loss is counted in trace.dropped_spans.
     GlobalTracing guard;
-    auto &tracer = Tracer::global();
-    const std::size_t prev_cap = tracer.spanCapPerThread();
-    const std::uint64_t dropped_before = tracer.droppedSpans();
+    auto &recorder = FlightRecorder::global();
+    const std::size_t prev_cap = recorder.capacityPerThread();
     const std::uint64_t counter_before =
         MetricsRegistry::global()
             .counter("trace.dropped_spans")
             .value();
 
-    tracer.setSpanCapPerThread(10);
-    for (int i = 0; i < 50; ++i)
-        TraceSpan span("test.capped", "test");
-    tracer.setSpanCapPerThread(prev_cap);
+    recorder.setCapacityPerThread(10);
+    std::thread worker([] {
+        for (int i = 0; i < 50; ++i)
+            TraceSpan span("test.capped", "test");
+    });
+    worker.join();
+    recorder.setCapacityPerThread(prev_cap);
 
-    EXPECT_LE(tracer.spanCount(), 10u);
-    EXPECT_GE(tracer.droppedSpans() - dropped_before, 40u);
-    EXPECT_GE(MetricsRegistry::global()
+    EXPECT_EQ(recorder.harvest(0).size(), 10u);
+    EXPECT_EQ(MetricsRegistry::global()
                       .counter("trace.dropped_spans")
                       .value() -
                   counter_before,
