@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <unordered_map>
 
 #include "support/logging.hh"
@@ -24,8 +23,19 @@ struct Candidate
     Schedule schedule;
     double modelCycles = std::numeric_limits<double>::infinity();
     double simCycles = std::numeric_limits<double>::quiet_NaN();
+    /// modelCycles holds this genome's screen. Survivors keep it
+    /// across generations; every child starts unscreened.
+    bool screened = false;
 
     bool measured() const { return !std::isnan(simCycles); }
+
+    /** Genome identity: same mapping and same schedule. */
+    bool
+    sameGenome(const Candidate &other) const
+    {
+        return mappingIndex == other.mappingIndex &&
+               schedule == other.schedule;
+    }
 
     /** Fitness key: measured cycles when known, model otherwise. */
     double
@@ -71,11 +81,31 @@ sortedOrder(std::size_t n, Key key)
     return order;
 }
 
-} // namespace
+/**
+ * What a search spent, including its exploit sub-searches: profiles
+ * lowered, model screens run, screens skipped because the survivor's
+ * screen could not change. Reported as explore.tune span args.
+ */
+struct SearchCounts
+{
+    std::int64_t lowered = 0;
+    std::int64_t screened = 0;
+    std::int64_t screenSkipped = 0;
 
+    SearchCounts &
+    operator+=(const SearchCounts &other)
+    {
+        lowered += other.lowered;
+        screened += other.screened;
+        screenSkipped += other.screenSkipped;
+        return *this;
+    }
+};
+
+/** tuneWithPlans, reporting what the search spent into `counts`. */
 TuneResult
-tuneWithPlans(const std::vector<MappingPlan> &plans,
-              const HardwareSpec &hw, const TuneOptions &options)
+searchPlans(const std::vector<MappingPlan> &plans, const HardwareSpec &hw,
+            const TuneOptions &options, SearchCounts &counts)
 {
     TuneResult result;
     if (plans.empty())
@@ -100,18 +130,18 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
     if (warmStartUsesNeighbors(options.warmStart.mode)) {
         result.warmStartNeighbors =
             static_cast<int>(options.warmStart.seeds.size());
-        std::set<std::string> seen;
         for (const auto &seed : options.warmStart.seeds) {
             auto slot = translateSeed(seed, plans);
             if (!slot)
                 continue;
-            std::string sig = std::to_string(slot->first) + "/" +
-                              slot->second.toString();
-            if (!seen.insert(sig).second)
-                continue;
             Candidate c;
             c.mappingIndex = slot->first;
-            c.schedule = slot->second;
+            c.schedule = std::move(slot->second);
+            if (std::any_of(warm_genomes.begin(), warm_genomes.end(),
+                            [&c](const Candidate &w) {
+                                return w.sameGenome(c);
+                            }))
+                continue;
             warm_genomes.push_back(std::move(c));
             if (warm_genomes.size() >=
                 static_cast<std::size_t>(std::max(0, options.population)))
@@ -173,24 +203,38 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
         learned = *options.warmStart.model;
     const bool screen_learned = options.useLearnedModel || warm_model;
 
-    // Model screening of the whole population. lowerKernel and both
-    // cost models are pure functions of (plan, schedule, hw), and
-    // each body writes only its own candidate, so the fan-out is
-    // race-free and order-independent.
+    // Model screening of the population. lowerKernel and both cost
+    // models are pure functions of (plan, schedule, hw, model state),
+    // and each body writes only its own candidate, so the fan-out is
+    // race-free and order-independent. A survivor's screen can change
+    // only when the online learned model refits between generations;
+    // under the analytic model or a fixed snapshot it is kept.
     auto evaluate_population = [&]() {
         TraceSpan eval_span("explore.model_eval", "explore");
-        eval_span.arg("candidates", static_cast<std::int64_t>(
-                                        population.size()));
+        std::vector<std::size_t> todo;
+        todo.reserve(population.size());
+        for (std::size_t i = 0; i < population.size(); ++i)
+            if (options.useLearnedModel || !population[i].screened)
+                todo.push_back(i);
+        eval_span.arg("candidates",
+                      static_cast<std::int64_t>(todo.size()));
+        // Counted here, in serial code, so the counts are identical
+        // at every thread count.
+        counts.screened += static_cast<std::int64_t>(todo.size());
+        counts.lowered += static_cast<std::int64_t>(todo.size());
+        counts.screenSkipped +=
+            static_cast<std::int64_t>(population.size() - todo.size());
         parallelFor(
-            population.size(),
-            [&](std::size_t i) {
-                Candidate &c = population[i];
+            todo.size(),
+            [&](std::size_t t) {
+                Candidate &c = population[todo[t]];
                 auto prof =
                     lowerKernel(plans[c.mappingIndex], c.schedule, hw);
                 c.modelCycles =
                     screen_learned && learned.trained()
                         ? learned.predictCycles(prof, hw)
                         : modelCycles(prof, hw);
+                c.screened = true;
             },
             num_threads);
     };
@@ -210,6 +254,7 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
         TraceSpan measure_span("explore.measure", "explore");
         measure_span.arg("batch", static_cast<std::int64_t>(
                                       selected.size()));
+        counts.lowered += static_cast<std::int64_t>(selected.size());
         std::vector<KernelProfile> profs(selected.size());
         std::vector<SimResult> sims(selected.size());
         parallelFor(
@@ -322,24 +367,35 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
             row.generation = gen;
             row.populationSize =
                 static_cast<int>(population.size());
-            std::set<std::size_t> mappings;
-            std::set<std::string> genomes;
+            // Distinct mappings and genomes: sort by (mapping,
+            // schedule) and count the runs.
+            std::vector<const Candidate *> genomes;
+            genomes.reserve(population.size());
             double pred_best =
                 std::numeric_limits<double>::infinity();
             double pred_sum = 0.0;
             std::size_t pred_n = 0;
             for (const auto &c : population) {
-                mappings.insert(c.mappingIndex);
-                genomes.insert(std::to_string(c.mappingIndex) +
-                               "/" + c.schedule.toString());
+                genomes.push_back(&c);
                 if (std::isfinite(c.modelCycles)) {
                     pred_best = std::min(pred_best, c.modelCycles);
                     pred_sum += c.modelCycles;
                     ++pred_n;
                 }
             }
-            row.distinctMappings = mappings.size();
-            row.distinctGenomes = genomes.size();
+            std::sort(genomes.begin(), genomes.end(),
+                      [](const Candidate *a, const Candidate *b) {
+                          if (a->mappingIndex != b->mappingIndex)
+                              return a->mappingIndex < b->mappingIndex;
+                          return a->schedule < b->schedule;
+                      });
+            for (std::size_t g = 0; g < genomes.size(); ++g) {
+                if (g == 0 || genomes[g]->mappingIndex !=
+                                  genomes[g - 1]->mappingIndex)
+                    ++row.distinctMappings;
+                if (g == 0 || !genomes[g]->sameGenome(*genomes[g - 1]))
+                    ++row.distinctGenomes;
+            }
             row.measuredNew = static_cast<int>(selected.size());
             row.measuredReused = reused;
             row.bestPredictedCycles =
@@ -395,7 +451,9 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
         // occasional mapping hop, and fresh immigrants. Each child
         // draws from its own (seed, slot, generation) stream and
         // reads only the const parent pool, so children can be
-        // produced concurrently.
+        // produced concurrently. A child is a fresh Candidate that
+        // takes only a genome from its parents: it starts unscreened
+        // and unmeasured.
         std::size_t target = std::max(
             population.size(),
             static_cast<std::size_t>(std::max(0, options.population)));
@@ -413,24 +471,19 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
                     // only compatible within the same mapping.
                     const Candidate &a = rng.choice(population);
                     const Candidate &b = rng.choice(population);
-                    child = a;
-                    child.simCycles =
-                        std::numeric_limits<double>::quiet_NaN();
+                    child.mappingIndex = a.mappingIndex;
                     if (a.mappingIndex == b.mappingIndex) {
                         child.schedule = crossoverSchedules(
                             a.schedule, b.schedule, rng);
                     } else {
                         child.schedule = mutateSchedule(
-                            plans[child.mappingIndex], child.schedule,
-                            rng);
+                            plans[child.mappingIndex], a.schedule, rng);
                     }
                 } else if (roll < 0.8) {
-                    child = rng.choice(population);
-                    child.simCycles =
-                        std::numeric_limits<double>::quiet_NaN();
+                    const Candidate &parent = rng.choice(population);
+                    child.mappingIndex = parent.mappingIndex;
                     child.schedule = mutateSchedule(
-                        plans[child.mappingIndex], child.schedule,
-                        rng);
+                        plans[child.mappingIndex], parent.schedule, rng);
                 } else {
                     // Immigrant: possibly a different mapping.
                     child.mappingIndex = static_cast<std::size_t>(
@@ -453,9 +506,12 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
         c.mappingIndex = 0;
         c.schedule = defaultSchedule(plans[0]);
         auto prof = lowerKernel(plans[0], c.schedule, hw);
+        ++counts.lowered;
+        ++counts.screened;
         c.modelCycles = screen_learned && learned.trained()
                             ? learned.predictCycles(prof, hw)
                             : modelCycles(prof, hw);
+        c.screened = true;
         population.push_back(std::move(c));
         measure_batch({population.size() - 1});
     }
@@ -487,8 +543,10 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
             if (options.cancel)
                 options.cancel->checkpoint("mapping exploitation");
             std::vector<MappingPlan> one = {plans[idx]};
-            auto subres = tuneWithPlans(one, hw, sub);
+            SearchCounts sub_counts;
+            auto subres = searchPlans(one, hw, sub, sub_counts);
             result.measurements += subres.measurements;
+            counts += sub_counts;
             for (auto sub_step : subres.trace) {
                 sub_step.mappingIndex = idx;
                 sub_step.step = ++step;
@@ -563,7 +621,22 @@ tuneWithPlans(const std::vector<MappingPlan> &plans,
     result.computeMapping =
         plans[best.mappingIndex].computeMappingString();
     result.intrinsicName = plans[best.mappingIndex].intrinsic().name();
+    tune_span.arg("lowered", counts.lowered);
+    tune_span.arg("screened", counts.screened);
+    tune_span.arg("screen_skipped", counts.screenSkipped);
+    tune_span.arg("measured",
+                  static_cast<std::int64_t>(result.measurements));
     return result;
+}
+
+} // namespace
+
+TuneResult
+tuneWithPlans(const std::vector<MappingPlan> &plans,
+              const HardwareSpec &hw, const TuneOptions &options)
+{
+    SearchCounts counts;
+    return searchPlans(plans, hw, options, counts);
 }
 
 TuneResult

@@ -263,7 +263,7 @@ clampSchedule(const MappingPlan &plan, const Schedule &donor)
 {
     Schedule sched = defaultSchedule(plan);
     for (std::size_t a = 0; a < sched.axes.size(); ++a) {
-        if (axisIsReduction(plan, a))
+        if (plan.outerAxes()[a].reduction)
             continue; // reduction axes stay serial, as in sampling
         if (a >= donor.axes.size())
             continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ir/affine.hh"
 #include "quant/legality.hh"
 #include "support/logging.hh"
 #include "support/math_utils.hh"
@@ -121,6 +122,7 @@ MappingPlan::MappingPlan(TensorComputation comp, Intrinsic intr,
     buildGroups();
     buildOuterAxes();
     buildOperands();
+    buildLoweringInvariants();
 }
 
 void
@@ -158,6 +160,7 @@ MappingPlan::buildOuterAxes()
         axis.ref = s;
         axis.extent = iters[s].extent;
         axis.name = iters[s].name();
+        axis.reduction = iters[s].kind == IterKind::Reduction;
         _outerAxes.push_back(std::move(axis));
     }
     const auto &intr_iters = _intr.compute.iters();
@@ -169,6 +172,7 @@ MappingPlan::buildOuterAxes()
         axis.ref = k;
         axis.extent = _groups[k].quotient;
         axis.name = intr_iters[k].name + ".q";
+        axis.reduction = intr_iters[k].reduction;
         _outerAxes.push_back(std::move(axis));
     }
 }
@@ -243,6 +247,107 @@ MappingPlan::buildOperands()
     build(compute.dst(), _comp.outputIndices(), true, -1);
 }
 
+namespace {
+
+/**
+ * Longest contiguous run (in elements) a staging loop can achieve
+ * when gathering one tile of an operand from its software layout:
+ * greedily chain the tile's iterators by ascending software stride,
+ * extending the run whenever an iterator's stride equals the run
+ * built so far. An iterator's software stride is the sum over tensor
+ * dimensions of its affine coefficient times the dimension stride.
+ * Returns 0 when a tile iterator exists and some index is not affine.
+ */
+std::int64_t
+contiguousRunOf(const TensorComputation &comp,
+                const std::vector<MappingPlan::GroupInfo> &groups,
+                const TensorDecl &decl, const std::vector<Expr> &indices,
+                const std::vector<std::size_t> &intrinsic_iters)
+{
+    bool analysed = false;
+    std::vector<std::int64_t> dim_strides;
+    std::vector<AffineForm> forms;
+    // Collect (stride, extent) of every software iterator fused into
+    // the operand's intrinsic iterations.
+    std::vector<std::pair<std::int64_t, std::int64_t>> dims;
+    for (auto k : intrinsic_iters) {
+        for (auto s : groups[k].members) {
+            if (!analysed) {
+                analysed = true;
+                dim_strides = decl.strides();
+                for (const auto &idx : indices) {
+                    auto form = tryToAffine(idx);
+                    if (!form)
+                        return 0;
+                    forms.push_back(std::move(*form));
+                }
+            }
+            const VarNode *var = comp.iters()[s].var.node();
+            std::int64_t stride = 0;
+            for (std::size_t d = 0; d < forms.size(); ++d)
+                stride += forms[d].coeffOf(var) * dim_strides[d];
+            stride = stride < 0 ? -stride : stride;
+            if (stride > 0)
+                dims.push_back({stride, comp.iters()[s].extent});
+        }
+    }
+    // Ascending stride; among equal strides prefer the largest
+    // extent (overlapping iterators cover the same addresses).
+    std::sort(dims.begin(), dims.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first < b.first
+                                            : a.second > b.second;
+              });
+    std::int64_t run = 1;
+    for (const auto &[stride, extent] : dims) {
+        if (stride == run)
+            run *= extent;
+        else if (stride > run)
+            break;
+        // stride < run: a redundant iterator that overlaps the run
+        // already built; skip it.
+    }
+    return run;
+}
+
+} // namespace
+
+void
+MappingPlan::buildLoweringInvariants()
+{
+    double executed = 1.0;
+    double useful = 1.0;
+    for (const auto &group : _groups) {
+        executed *= static_cast<double>(group.quotient *
+                                        group.intrinsicExtent);
+        useful *= static_cast<double>(group.fusedExtent);
+        if (group.members.size() > 1)
+            _addressTerms += static_cast<int>(group.members.size()) - 1;
+    }
+    _paddingWaste = executed / useful;
+
+    for (auto &op : _operands) {
+        // Trailing-padding fraction along the operand's intrinsic
+        // iterations: executed tile space vs real data.
+        for (auto k : op.intrinsicIters) {
+            const auto &group = _groups[k];
+            op.usefulFraction *=
+                static_cast<double>(group.fusedExtent) /
+                static_cast<double>(group.quotient *
+                                    group.intrinsicExtent);
+        }
+        if (op.isOutput) {
+            op.contiguousRun =
+                contiguousRunOf(_comp, _groups, _comp.output(),
+                                _comp.outputIndices(), op.intrinsicIters);
+        } else {
+            const auto &in = _comp.inputs()[op.inputIndex];
+            op.contiguousRun = contiguousRunOf(
+                _comp, _groups, in.decl, in.indices, op.intrinsicIters);
+        }
+    }
+}
+
 Expr
 MappingPlan::fusedFlatExpr(const GroupInfo &group) const
 {
@@ -268,19 +373,6 @@ MappingPlan::intrinsicCallCount() const
     for (const auto &axis : _outerAxes)
         calls *= axis.extent;
     return calls;
-}
-
-double
-MappingPlan::paddingWasteFactor() const
-{
-    double executed = 1.0;
-    double useful = 1.0;
-    for (const auto &group : _groups) {
-        executed *= static_cast<double>(group.quotient *
-                                        group.intrinsicExtent);
-        useful *= static_cast<double>(group.fusedExtent);
-    }
-    return executed / useful;
 }
 
 std::vector<Expr>

@@ -92,6 +92,8 @@ class MappingPlan
         std::size_t ref; ///< iter position or intrinsic iter index
         std::int64_t extent = 1;
         std::string name;
+        /// Iterates a reduction dimension (software or intrinsic).
+        bool reduction = false;
     };
 
     /** Per-operand physical memory-mapping summary. */
@@ -114,6 +116,21 @@ class MappingPlan
         std::int64_t numTiles = 1;
         /// Base-address expression over software iterators (Fig. 3h).
         Expr baseAddress;
+
+        /// @name Plan-invariant lowering inputs
+        /// Computed once when the plan is built; lowerKernel copies
+        /// them into every profile (see OperandProfile).
+        /// @{
+        /**
+         * Longest contiguous run (elements) a staging loop can read
+         * from the software layout when gathering one tile. 0 marks
+         * an access that is not affine in a tile iterator: the plan
+         * still builds, and lowering the plan raises.
+         */
+        std::int64_t contiguousRun = 1;
+        /// Fraction of the tile space holding real (unpadded) data.
+        double usefulFraction = 1.0;
+        /// @}
     };
 
     /**
@@ -156,7 +173,14 @@ class MappingPlan
      * Compute inflation from trailing padding: executed scalar ops
      * divided by useful scalar ops (>= 1).
      */
-    double paddingWasteFactor() const;
+    double paddingWasteFactor() const { return _paddingWaste; }
+
+    /**
+     * Extra div/mod address terms per intrinsic call: each software
+     * iteration fused beyond the first in a group adds one (the
+     * (n*4 + p*2 + q) / 2 chains of Fig. 3h).
+     */
+    int addressTerms() const { return _addressTerms; }
 
     /**
      * Virtual compute-mapping expressions (step 1 of Sec. 5.1): the
@@ -183,6 +207,7 @@ class MappingPlan
     void buildGroups();
     void buildOuterAxes();
     void buildOperands();
+    void buildLoweringInvariants();
     Expr fusedFlatExpr(const GroupInfo &group) const;
 
     TensorComputation _comp;
@@ -194,6 +219,8 @@ class MappingPlan
     std::vector<std::size_t> _unmapped;
     std::vector<OuterAxis> _outerAxes;
     std::vector<OperandInfo> _operands;
+    double _paddingWaste = 1.0;
+    int _addressTerms = 0;
 };
 
 } // namespace amos

@@ -2,82 +2,12 @@
 
 #include <algorithm>
 
-#include "ir/affine.hh"
 #include "support/logging.hh"
 #include "support/math_utils.hh"
 #include "support/str_utils.hh"
 #include "support/trace.hh"
 
 namespace amos {
-
-namespace {
-
-/**
- * Stride (in elements) of one software iterator within an operand's
- * flattened row-major layout: the sum over tensor dimensions of the
- * iterator's affine coefficient times the dimension stride.
- */
-std::int64_t
-softwareStrideOf(const TensorDecl &decl,
-                 const std::vector<Expr> &indices, const VarNode *var)
-{
-    auto dim_strides = decl.strides();
-    std::int64_t total = 0;
-    for (std::size_t d = 0; d < indices.size(); ++d) {
-        auto form = tryToAffine(indices[d]);
-        require(form.has_value(),
-                "softwareStrideOf: non-affine access on ",
-                decl.name());
-        total += form->coeffOf(var) * dim_strides[d];
-    }
-    return total < 0 ? -total : total;
-}
-
-/**
- * Longest contiguous run (in elements) a staging loop can achieve
- * when gathering one tile of the operand from its software layout:
- * greedily chain the tile's iterators by ascending software stride,
- * extending the run whenever an iterator's stride equals the run
- * built so far.
- */
-std::int64_t
-contiguousRunOf(const MappingPlan &plan, const TensorDecl &decl,
-                const std::vector<Expr> &indices,
-                const MappingPlan::OperandInfo &op)
-{
-    const auto &comp = plan.computation();
-    // Collect (stride, extent) of every software iterator fused into
-    // the operand's intrinsic iterations.
-    std::vector<std::pair<std::int64_t, std::int64_t>> dims;
-    for (auto k : op.intrinsicIters) {
-        for (auto s : plan.groups()[k].members) {
-            const VarNode *var = comp.iters()[s].var.node();
-            std::int64_t stride =
-                softwareStrideOf(decl, indices, var);
-            if (stride > 0)
-                dims.push_back({stride, comp.iters()[s].extent});
-        }
-    }
-    // Ascending stride; among equal strides prefer the largest
-    // extent (overlapping iterators cover the same addresses).
-    std::sort(dims.begin(), dims.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first != b.first ? a.first < b.first
-                                            : a.second > b.second;
-              });
-    std::int64_t run = 1;
-    for (const auto &[stride, extent] : dims) {
-        if (stride == run)
-            run *= extent;
-        else if (stride > run)
-            break;
-        // stride < run: a redundant iterator that overlaps the run
-        // already built; skip it.
-    }
-    return run;
-}
-
-} // namespace
 
 std::string
 KernelProfile::toString() const
@@ -107,41 +37,44 @@ lowerKernel(const MappingPlan &plan, const Schedule &sched,
     prof.vectorLanes = sched.vectorLanes;
     prof.unrollDepth = sched.unrollDepth;
     prof.paddingWaste = plan.paddingWasteFactor();
+    prof.addressTerms = plan.addressTerms();
     prof.usefulOps = plan.computation().totalIterations();
     prof.totalCalls = plan.intrinsicCallCount();
     prof.intrinsicLatencyCycles = plan.intrinsic().latencyCycles;
     prof.intrinsicUnitsPerSubcore = plan.intrinsic().unitsPerSubcore;
     prof.intrinsicName = plan.intrinsic().name();
-    for (const auto &group : plan.groups())
-        if (group.members.size() > 1)
-            prof.addressTerms +=
-                static_cast<int>(group.members.size()) - 1;
 
     // Per-axis split: extent -> blockFactor x warpFactor x serial.
-    std::vector<std::int64_t> block_seg(axes.size());
-    std::vector<std::int64_t> serial(axes.size());
+    // One allocation for both per-axis segment counts: this runs once
+    // per screened or measured candidate.
+    struct AxisSplit
+    {
+        std::int64_t blockSeg; ///< segments per block
+        std::int64_t serial;   ///< serial trips per warp
+    };
+    std::vector<AxisSplit> split(axes.size());
     for (std::size_t a = 0; a < axes.size(); ++a) {
         std::int64_t extent = axes[a].extent;
         std::int64_t bf = std::min(sched.axes[a].blockFactor, extent);
         require(bf >= 1, "lowerKernel: non-positive block factor");
-        block_seg[a] = ceilDiv(extent, bf);
+        split[a].blockSeg = ceilDiv(extent, bf);
         std::int64_t wf =
-            std::min(sched.axes[a].warpFactor, block_seg[a]);
+            std::min(sched.axes[a].warpFactor, split[a].blockSeg);
         require(wf >= 1, "lowerKernel: non-positive warp factor");
-        serial[a] = ceilDiv(block_seg[a], wf);
-        bool reduction = axisIsReduction(plan, a);
-        require(!reduction || (bf == 1 && wf == 1),
+        split[a].serial = ceilDiv(split[a].blockSeg, wf);
+        require(!axes[a].reduction || (bf == 1 && wf == 1),
                 "lowerKernel: reduction axis ", axes[a].name,
                 " cannot be block/warp parallel");
         prof.numBlocks *= bf;
         prof.warpsPerBlock *= wf;
-        prof.serialCallsPerWarp *= serial[a];
+        prof.serialCallsPerWarp *= split[a].serial;
     }
 
     // Per-operand footprint and traffic.
     const auto &intr = plan.intrinsic();
     std::int64_t shared_bytes = 0;
     std::int64_t reg_bytes = 0;
+    prof.operands.reserve(plan.operands().size());
     for (const auto &op : plan.operands()) {
         OperandProfile oprof;
         oprof.name = op.name;
@@ -149,33 +82,19 @@ lowerKernel(const MappingPlan &plan, const Schedule &sched,
         oprof.tileBytes = op.tileBytes;
         oprof.tilesTotal = op.numTiles;
         for (auto a : op.dependentAxes) {
-            oprof.tilesPerBlock *= block_seg[a];
-            oprof.tilesPerWarp *= serial[a];
+            oprof.tilesPerBlock *= split[a].blockSeg;
+            oprof.tilesPerWarp *= split[a].serial;
         }
         oprof.tilesPerBlock =
             std::min(oprof.tilesPerBlock, oprof.tilesTotal);
-
-        // Trailing-padding fraction along the operand's intrinsic
-        // iterations: executed tile space vs real data.
-        for (auto k : op.intrinsicIters) {
-            const auto &group = plan.groups()[k];
-            oprof.usefulFraction *=
-                static_cast<double>(group.fusedExtent) /
-                static_cast<double>(group.quotient *
-                                    group.intrinsicExtent);
-        }
-
-        {
-            const auto &comp = plan.computation();
-            if (op.isOutput) {
-                oprof.contiguousRun = contiguousRunOf(
-                    plan, comp.output(), comp.outputIndices(), op);
-            } else {
-                const auto &in = comp.inputs()[op.inputIndex];
-                oprof.contiguousRun =
-                    contiguousRunOf(plan, in.decl, in.indices, op);
-            }
-        }
+        oprof.usefulFraction = op.usefulFraction;
+        require(op.contiguousRun > 0,
+                "lowerKernel: non-affine access on ",
+                op.isOutput ? plan.computation().output().name()
+                            : plan.computation()
+                                  .inputs()[op.inputIndex]
+                                  .decl.name());
+        oprof.contiguousRun = op.contiguousRun;
 
         if (op.isOutput) {
             // Accumulator tiles live in registers for the whole
@@ -193,8 +112,8 @@ lowerKernel(const MappingPlan &plan, const Schedule &sched,
             // global interface.
             std::int64_t staged_tiles = 1;
             for (auto a : op.dependentAxes)
-                if (!axisIsReduction(plan, a))
-                    staged_tiles *= block_seg[a];
+                if (!axes[a].reduction)
+                    staged_tiles *= split[a].blockSeg;
             shared_bytes +=
                 staged_tiles * op.tileBytes * sched.stageDepth;
             // Live fragments per warp (current + prefetched).
@@ -229,7 +148,7 @@ expertSchedule(const MappingPlan &plan, const HardwareSpec &hw)
     std::int64_t blocks = 1;
     for (std::size_t a = 0; a < axes.size() && blocks < target_blocks;
          ++a) {
-        if (axisIsReduction(plan, a))
+        if (axes[a].reduction)
             continue;
         std::int64_t want = std::min(
             axes[a].extent, ceilDiv(target_blocks, blocks));
@@ -240,7 +159,7 @@ expertSchedule(const MappingPlan &plan, const HardwareSpec &hw)
     std::size_t best_axis = axes.size();
     std::int64_t best_extent = 1;
     for (std::size_t a = 0; a < axes.size(); ++a) {
-        if (axisIsReduction(plan, a))
+        if (axes[a].reduction)
             continue;
         std::int64_t seg =
             ceilDiv(axes[a].extent, sched.axes[a].blockFactor);

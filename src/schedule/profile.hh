@@ -44,6 +44,7 @@ struct OperandProfile
      * the greedy chain of tile iterators whose software strides
      * compose into consecutive addresses. Short runs mean the
      * staging traffic is gather-like and wastes memory transactions.
+     * Plan-invariant: copied from MappingPlan::OperandInfo.
      */
     std::int64_t contiguousRun = 1;
 
@@ -52,7 +53,8 @@ struct OperandProfile
      * rest is trailing padding). Staging loops read only real
      * elements — zero fill happens on chip — and stores are masked,
      * so *global* traffic scales by this fraction while on-chip
-     * footprints and compute do not.
+     * footprints and compute do not. Plan-invariant, like
+     * contiguousRun.
      */
     double usefulFraction = 1.0;
 };
@@ -86,9 +88,8 @@ struct KernelProfile
     /// Executed-over-useful scalar-op inflation from padding.
     double paddingWaste = 1.0;
 
-    /// Extra div/mod address terms evaluated per intrinsic call:
-    /// each software iteration fused beyond the first in a group
-    /// adds one (the (n*4 + p*2 + q) / 2 chains of Fig. 3h).
+    /// Extra div/mod address terms evaluated per intrinsic call
+    /// (MappingPlan::addressTerms).
     int addressTerms = 0;
 
     /// Useful scalar multiply-accumulate operations (no padding).

@@ -20,17 +20,6 @@ Schedule::toString() const
     return out;
 }
 
-bool
-axisIsReduction(const MappingPlan &plan, std::size_t axis)
-{
-    const auto &ax = plan.outerAxes()[axis];
-    if (ax.kind == MappingPlan::OuterAxis::Kind::Unmapped) {
-        return plan.computation().iters()[ax.ref].kind ==
-               IterKind::Reduction;
-    }
-    return plan.intrinsic().compute.iters()[ax.ref].reduction;
-}
-
 Schedule
 defaultSchedule(const MappingPlan &plan)
 {
@@ -53,7 +42,7 @@ sampleSchedule(const MappingPlan &plan, Rng &rng)
     TraceSpan span("schedule.sample", "schedule");
     Schedule sched = defaultSchedule(plan);
     for (std::size_t a = 0; a < sched.axes.size(); ++a) {
-        if (axisIsReduction(plan, a))
+        if (plan.outerAxes()[a].reduction)
             continue;
         std::int64_t extent = plan.outerAxes()[a].extent;
         auto cands = tileCandidates(extent);
@@ -76,7 +65,7 @@ mutateSchedule(const MappingPlan &plan, const Schedule &sched, Rng &rng)
     // Pick one knob class to perturb: an axis split or a global knob.
     std::vector<std::size_t> spatial_axes;
     for (std::size_t a = 0; a < out.axes.size(); ++a)
-        if (!axisIsReduction(plan, a))
+        if (!plan.outerAxes()[a].reduction)
             spatial_axes.push_back(a);
 
     double roll = rng.uniformReal();

@@ -14,6 +14,7 @@
 #ifndef AMOS_SCHEDULE_SCHEDULE_HH
 #define AMOS_SCHEDULE_SCHEDULE_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,6 +29,8 @@ struct AxisSchedule
 {
     std::int64_t blockFactor = 1; ///< segments bound to cores
     std::int64_t warpFactor = 1;  ///< segments bound to sub-cores
+
+    auto operator<=>(const AxisSchedule &) const = default;
 };
 
 /** A complete schedule for one mapped kernel. */
@@ -46,11 +49,12 @@ struct Schedule
     /// Unroll depth of the innermost serial loop.
     int unrollDepth = 1;
 
+    /// Field-wise genome identity and a total order over schedules
+    /// (axes lexicographically, then the global knobs).
+    auto operator<=>(const Schedule &) const = default;
+
     std::string toString() const;
 };
-
-/** True iff an outer axis iterates a reduction dimension. */
-bool axisIsReduction(const MappingPlan &plan, std::size_t axis);
 
 /** The trivial schedule: everything serial on one core. */
 Schedule defaultSchedule(const MappingPlan &plan);

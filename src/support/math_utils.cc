@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "logging.hh"
 
@@ -28,13 +27,20 @@ std::vector<std::int64_t>
 tileCandidates(std::int64_t extent)
 {
     require(extent > 0, "tileCandidates: extent must be positive");
-    std::set<std::int64_t> cands;
-    for (auto d : divisorsOf(extent))
-        cands.insert(d);
-    for (std::int64_t p = 1; p <= extent; p *= 2)
-        cands.insert(p);
-    cands.insert(extent);
-    return {cands.begin(), cands.end()};
+    // Merge the ascending divisors (which end at the extent) with the
+    // ascending powers of two up to the extent, dropping duplicates.
+    auto divisors = divisorsOf(extent);
+    std::vector<std::int64_t> cands;
+    cands.reserve(divisors.size() + 64);
+    std::int64_t pow2 = 1;
+    for (auto d : divisors) {
+        for (; pow2 < d; pow2 *= 2)
+            cands.push_back(pow2);
+        if (pow2 == d)
+            pow2 *= 2;
+        cands.push_back(d);
+    }
+    return cands;
 }
 
 namespace {

@@ -88,7 +88,7 @@ TEST(ExpertSchedule, FillsCoresAndRespectsLegality)
     EXPECT_GE(prof.numBlocks, hw.numCores);
     EXPECT_GE(prof.warpsPerBlock, 1);
     for (std::size_t a = 0; a < sched.axes.size(); ++a) {
-        if (axisIsReduction(*plan, a)) {
+        if (plan->outerAxes()[a].reduction) {
             EXPECT_EQ(sched.axes[a].blockFactor, 1);
         }
     }

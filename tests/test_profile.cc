@@ -208,6 +208,22 @@ TEST(Profile, GatherMappingHasShortRun)
     EXPECT_EQ(prof.operands[1].contiguousRun, 1);
 }
 
+TEST(Profile, NonAffineOperandFailsAtLoweringNotAtPlanBuild)
+{
+    // Only the fuzz hook can build a non-affine access. The plan still
+    // builds (its plan-invariant operand analysis records the failure)
+    // and lowering raises, as it always did.
+    auto gemm = ops::makeGemm(64, 64, 64);
+    auto mutated = gemm.withMutatedInputIndex(
+        1, 0, floorDiv(gemm.iters()[2].var * 2, 2));
+    ComputeMapping m;
+    m.groups = {{0}, {1}, {2}};
+    MappingPlan plan(mutated, isa::wmma(16, 16, 16), m);
+    ASSERT_TRUE(plan.valid());
+    EXPECT_THROW(lowerKernel(plan, defaultSchedule(plan), hw::v100()),
+                 PanicError);
+}
+
 TEST(Profile, PaddingWasteFlowsThrough)
 {
     auto gemm = ops::makeGemm(20, 16, 16); // 20 pads to 32

@@ -50,7 +50,7 @@ TEST(Schedule, ReductionAxisDetection)
     // group quotients i1.q/i2.q (spatial), r1.q (reduction).
     int reductions = 0;
     for (std::size_t a = 0; a < plan.outerAxes().size(); ++a)
-        reductions += axisIsReduction(plan, a);
+        reductions += plan.outerAxes()[a].reduction;
     EXPECT_EQ(reductions, 2); // s and r1.q
 }
 
@@ -61,7 +61,7 @@ TEST(Schedule, SamplingNeverParallelisesReductions)
     for (int i = 0; i < 200; ++i) {
         auto sched = sampleSchedule(plan, rng);
         for (std::size_t a = 0; a < sched.axes.size(); ++a) {
-            if (axisIsReduction(plan, a)) {
+            if (plan.outerAxes()[a].reduction) {
                 EXPECT_EQ(sched.axes[a].blockFactor, 1);
                 EXPECT_EQ(sched.axes[a].warpFactor, 1);
             } else {
@@ -105,7 +105,7 @@ TEST(Schedule, MutationPreservesReductionLegality)
     for (int i = 0; i < 200; ++i) {
         sched = mutateSchedule(plan, sched, rng);
         for (std::size_t a = 0; a < sched.axes.size(); ++a) {
-            if (axisIsReduction(plan, a)) {
+            if (plan.outerAxes()[a].reduction) {
                 EXPECT_EQ(sched.axes[a].blockFactor, 1);
                 EXPECT_EQ(sched.axes[a].warpFactor, 1);
             }

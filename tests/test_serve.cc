@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -265,8 +266,19 @@ TEST(Service, DeadlineExceededCancelsTheExploration)
     options.workers = 1;
     CompileService service(options);
 
+    // The deadline is a quarter of an undeadlined run of the same
+    // shape under another seed (a distinct cache key), timed here:
+    // a fixed figure would only hold on machines of one speed.
+    auto probe = slowRequest();
+    probe.seed = 7;
+    auto probe_start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(service.serve(probe).ok);
+    double full_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - probe_start)
+                         .count();
+
     auto req = slowRequest();
-    req.deadlineMs = 30.0;
+    req.deadlineMs = full_ms / 4.0;
     auto outcome = service.serve(req);
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.error, ErrorCode::DeadlineExceeded);

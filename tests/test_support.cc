@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,6 +140,21 @@ TEST(MathUtils, TileCandidatesIncludePowersOfTwoAndDivisors)
     }
 }
 
+TEST(MathUtils, TileCandidatesAreSortedDivisorsAndPowersOfTwo)
+{
+    // Reference: the set union the merge replaces.
+    for (std::int64_t extent = 1; extent <= 3000; ++extent) {
+        std::set<std::int64_t> want;
+        for (auto d : divisorsOf(extent))
+            want.insert(d);
+        for (std::int64_t p = 1; p <= extent; p *= 2)
+            want.insert(p);
+        auto got = tileCandidates(extent);
+        ASSERT_EQ(got, std::vector<std::int64_t>(want.begin(), want.end()))
+            << "extent " << extent;
+    }
+}
+
 TEST(MathUtils, FactorSplitsCoverExtent)
 {
     for (const auto &split : factorSplits(12, 3)) {
@@ -243,6 +260,83 @@ TEST(Rng, ChoicePicksExistingElements)
     }
     std::vector<int> empty;
     EXPECT_THROW(rng.choice(empty), PanicError);
+}
+
+/**
+ * Seeds for the engine-equivalence tests: small, huge and scrambled
+ * values, as the tuner's mixSeed streams produce them.
+ */
+std::vector<std::uint64_t>
+equivalenceSeeds()
+{
+    std::vector<std::uint64_t> seeds = {0, 1, 0x5EED, ~0ULL,
+                                        0x8000000000000000ULL};
+    for (std::uint64_t i = 0; seeds.size() < 1000; ++i)
+        seeds.push_back(mixSeed(2022, i, i % 7));
+    return seeds;
+}
+
+TEST(Rng, LazyEngineMatchesStdMt19937_64)
+{
+    // 2000 draws per seed cross the lazy first half-block (156), the
+    // end of the first block (312) and two full re-twists (624,
+    // 936, ...); every shorter stream is a prefix of these.
+    static_assert(LazyMt19937_64::min() == std::mt19937_64::min());
+    static_assert(LazyMt19937_64::max() == std::mt19937_64::max());
+    for (auto seed : equivalenceSeeds()) {
+        std::mt19937_64 ref(seed);
+        LazyMt19937_64 lazy(seed);
+        for (int k = 0; k < 2000; ++k) {
+            auto want = ref();
+            auto got = lazy();
+            ASSERT_EQ(got, want) << "seed " << seed << " draw " << k;
+        }
+    }
+}
+
+TEST(Rng, LazyEngineMatchesAtEveryStreamLength)
+{
+    // A fresh stream of every length 0..2000, then one more draw: the
+    // draw after a stream ends must not depend on where it ended.
+    for (int len = 0; len <= 2000; ++len) {
+        std::uint64_t seed = mixSeed(7, static_cast<std::uint64_t>(len), 1);
+        std::mt19937_64 ref(seed);
+        LazyMt19937_64 lazy(seed);
+        ref.discard(static_cast<unsigned long long>(len));
+        for (int k = 0; k < len; ++k)
+            lazy();
+        ASSERT_EQ(lazy(), ref()) << "after " << len << " draws";
+    }
+}
+
+TEST(Rng, DrawsMatchStdDistributionsOverStdEngine)
+{
+    // Rng's uniformInt/uniformReal/shuffle sequences, interleaved as
+    // the tuner interleaves them, equal the <random> distributions
+    // and std::shuffle driven by std::mt19937_64.
+    for (auto seed : equivalenceSeeds()) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        int rounds = static_cast<int>(seed % 13) + 1;
+        for (int r = 0; r < rounds; ++r) {
+            std::int64_t hi = 1 + static_cast<std::int64_t>(r * 37 % 101);
+            ASSERT_EQ(rng.uniformInt(0, hi),
+                      std::uniform_int_distribution<std::int64_t>(
+                          0, hi)(ref))
+                << "seed " << seed;
+            ASSERT_EQ(rng.uniformReal(),
+                      std::uniform_real_distribution<double>(0.0, 1.0)(
+                          ref))
+                << "seed " << seed;
+            std::vector<int> got(static_cast<std::size_t>(r * 29 % 64));
+            for (std::size_t i = 0; i < got.size(); ++i)
+                got[i] = static_cast<int>(i);
+            auto want = got;
+            rng.shuffle(got);
+            std::shuffle(want.begin(), want.end(), ref);
+            ASSERT_EQ(got, want) << "seed " << seed;
+        }
+    }
 }
 
 TEST(LruMap, EvictsLeastRecentlyUsed)

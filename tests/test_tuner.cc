@@ -7,16 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 
+#include "explore/learned_model.hh"
 #include "explore/stats.hh"
 #include "explore/trace_io.hh"
 #include "explore/tuner.hh"
 #include "hw/hardware.hh"
 #include "ops/operators.hh"
 #include "schedule/profile.hh"
+#include "support/trace.hh"
 
 namespace amos {
 namespace {
@@ -149,6 +154,255 @@ TEST(Tuner, ThreadCountInvariantWithLearnedModel)
     TuneOptions par = base;
     par.numThreads = 4;
     expectIdenticalResults(serial, tune(conv, hw, par));
+}
+
+/**
+ * FNV-1a over a canonical rendering of the whole tune result: winner,
+ * %.17g cycles, measurement counts, the full exploration trace, every
+ * telemetry row and the runners-up. Any move of the search trajectory
+ * (one different draw, one extra screen that changes a ranking) moves
+ * the digest.
+ */
+std::uint64_t
+resultDigest(const TuneResult &r)
+{
+    std::string text;
+    auto add = [&text](const char *fmt, auto... values) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), fmt, values...);
+        text += buf;
+        text += ';';
+    };
+    auto addDouble = [&add](double v) { add("%.17g", v); };
+    add("%d", r.tensorizable ? 1 : 0);
+    add("%zu", r.numMappings);
+    add("%d", r.measurements);
+    add("%d", r.warmStartNeighbors);
+    add("%d", r.warmStartSeeded);
+    add("%zu", r.bestMappingIndex);
+    text += r.bestSchedule.toString() + ";";
+    addDouble(r.bestCycles);
+    addDouble(r.bestModelCycles);
+    addDouble(r.bestSim.cycles);
+    text += r.mappingSignature + ";" + r.computeMapping + ";" +
+            r.intrinsicName + ";";
+    for (const auto &s : r.trace) {
+        add("%d", s.step);
+        add("%zu", s.mappingIndex);
+        addDouble(s.predictedCycles);
+        addDouble(s.measuredCycles);
+        addDouble(s.bestSoFarCycles);
+    }
+    for (const auto &row : r.telemetry) {
+        add("%d", row.generation);
+        text += row.phase + ";";
+        add("%d", row.populationSize);
+        add("%zu", row.distinctMappings);
+        add("%zu", row.distinctGenomes);
+        add("%d", row.measuredNew);
+        add("%d", row.measuredReused);
+        addDouble(row.bestPredictedCycles);
+        addDouble(row.meanPredictedCycles);
+        addDouble(row.bestMeasuredCycles);
+        addDouble(row.meanMeasuredCycles);
+    }
+    for (const auto &up : r.runnersUp) {
+        add("%zu", up.mappingIndex);
+        text += up.schedule.toString() + ";";
+        addDouble(up.measuredCycles);
+        addDouble(up.modelCycles);
+    }
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+ops::ConvParams
+smallConv(std::int64_t channels, std::int64_t size)
+{
+    ops::ConvParams pr;
+    pr.batch = 1;
+    pr.in_channels = channels;
+    pr.out_channels = channels;
+    pr.out_h = size;
+    pr.out_w = size;
+    pr.kernel_h = 3;
+    pr.kernel_w = 3;
+    return pr;
+}
+
+/** A warm-start `both` configuration: two donor seeds + a snapshot. */
+WarmStartOptions
+warmBothForGemm(const HardwareSpec &hw)
+{
+    WarmStartOptions warm;
+    warm.mode = WarmStartMode::Both;
+    warm.patience = kWarmStartPatience;
+    auto model = std::make_shared<LearnedModel>();
+    for (std::int64_t m : {64, 128}) {
+        TuneOptions donor;
+        donor.generations = 3;
+        donor.seed = 5;
+        donor.numThreads = 1;
+        donor.sampleSink = model.get();
+        auto comp = ops::makeGemm(m, 64, 64);
+        auto res = tune(comp, hw, donor);
+        EXPECT_TRUE(res.tensorizable);
+        WarmSeed seed;
+        seed.sourceKey = "gemm/" + std::to_string(m);
+        seed.intrinsicName = res.intrinsicName;
+        seed.mapping = res.bestPlan->mapping();
+        seed.schedule = res.bestSchedule;
+        warm.seeds.push_back(std::move(seed));
+    }
+    model->fit();
+    EXPECT_TRUE(model->trained());
+    warm.model = model;
+    return warm;
+}
+
+/**
+ * Trajectory goldens: the digests below were recorded before the
+ * search loop learned to memoize plan-invariant lowering, skip
+ * re-screening unchanged survivors and seed its per-candidate RNG
+ * streams lazily. Those are pure cost cuts; every case must walk
+ * exactly the same trajectory at 1 and 4 threads.
+ */
+TEST(Tuner, GoldenTrajectoryDigests)
+{
+    struct Case
+    {
+        const char *name;
+        TensorComputation comp;
+        HardwareSpec hw;
+        TuneOptions options;
+        std::uint64_t digest;
+    };
+    auto opts = [](int generations, std::uint64_t seed) {
+        TuneOptions o;
+        o.generations = generations;
+        o.seed = seed;
+        return o;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"conv2d@v100", ops::makeConv2d(smallConv(64, 14)),
+                     hw::v100(), opts(4, 11), 0xc8a1ae9242276f3bULL});
+    cases.push_back({"gemm_u8i8@xeon",
+                     ops::quantizedVariant(ops::makeGemm(128, 256, 64)),
+                     hw::byName("xeon"), opts(4, 12), 0x7baf43677c369571ULL});
+    cases.push_back({"depthwise_i8@mali",
+                     ops::quantizedVariant(
+                         ops::makeDepthwiseConv2d(smallConv(32, 28)),
+                         DataType::I8, DataType::I8),
+                     hw::byName("mali"), opts(4, 13), 0x15a90a3fb98180e8ULL});
+    cases.push_back({"conv3d_u8i8@amx",
+                     ops::quantizedVariant(
+                         ops::makeConv3d(smallConv(32, 8), 4, 3)),
+                     hw::byName("amx"), opts(3, 14), 0xeb464d334b27eab3ULL});
+    {
+        TuneOptions learned = opts(4, 15);
+        learned.useLearnedModel = true;
+        cases.push_back({"conv2d_learned@v100",
+                         ops::makeConv2d(smallConv(64, 14)), hw::v100(),
+                         learned, 0xe6cc7eabc1749c0bULL});
+    }
+    {
+        TuneOptions warm = opts(4, 16);
+        warm.warmStart = warmBothForGemm(hw::v100());
+        cases.push_back({"gemm_warm_both@v100",
+                         ops::makeGemm(96, 64, 64), hw::v100(), warm,
+                         0x172536355832d325ULL});
+    }
+    for (const auto &c : cases) {
+        for (int threads : {1, 4}) {
+            TuneOptions options = c.options;
+            options.numThreads = threads;
+            auto res = tune(c.comp, c.hw, options);
+            ASSERT_TRUE(res.tensorizable) << c.name;
+            char got[32];
+            std::snprintf(got, sizeof(got), "0x%016" PRIx64,
+                          resultDigest(res));
+            EXPECT_EQ(resultDigest(res), c.digest)
+                << c.name << " at " << threads
+                << " threads: digest " << got;
+        }
+    }
+}
+
+/** The root explore.tune span's args. */
+std::map<std::string, std::string>
+tuneSpanArgs(const TensorComputation &comp, const HardwareSpec &hw,
+               const TuneOptions &options)
+{
+    auto &recorder = FlightRecorder::global();
+    const std::uint64_t seq = recorder.beginRequest();
+    {
+        FlightScope scope(seq, "tune-counts");
+        tune(comp, hw, options);
+    }
+    // Exploit sub-searches nest their own explore.tune spans inside
+    // the root; the root is the longest.
+    const FlightRecord *root = nullptr;
+    auto spans = recorder.harvest(seq);
+    for (const auto &rec : spans)
+        if (std::string_view(rec.name) == "explore.tune" &&
+            (!root || rec.durUs > root->durUs))
+            root = &rec;
+    std::map<std::string, std::string> args;
+    if (!root) {
+        ADD_FAILURE() << "no explore.tune span recorded";
+        return args;
+    }
+    root->forEachArg([&](std::string_view key, std::string_view value) {
+        args[std::string(key)] = std::string(value);
+    });
+    return args;
+}
+
+TEST(Tuner, TuneSpanAttributesLoweringAndScreening)
+{
+    // The xeon case carries the longest built-in hardware name: all
+    // args must still fit the span's inline arg buffer.
+    std::vector<std::pair<TensorComputation, HardwareSpec>> cases = {
+        {ops::makeGemm(256, 256, 256), hw::v100()},
+        {ops::quantizedVariant(ops::makeConv3d(smallConv(32, 8), 4, 3)),
+         hw::byName("xeon")}};
+    for (const auto &[comp, hw] : cases) {
+        for (bool learned : {false, true}) {
+            TuneOptions options;
+            options.generations = 4;
+            options.useLearnedModel = learned;
+            options.numThreads = 1;
+            auto serial = tuneSpanArgs(comp, hw, options);
+            std::map<std::string, std::int64_t> count;
+            for (const char *key :
+                 {"lowered", "screened", "screen_skipped", "measured"}) {
+                ASSERT_TRUE(serial.count(key))
+                    << hw.name << ": " << key
+                    << " missing (args truncated?)";
+                count[key] = std::stoll(serial[key]);
+            }
+            options.numThreads = 4;
+            EXPECT_EQ(tuneSpanArgs(comp, hw, options), serial);
+
+            auto result = tune(comp, hw, options);
+            EXPECT_EQ(count["measured"], result.measurements);
+            // Every screen and every measurement lowers one profile.
+            EXPECT_EQ(count["lowered"],
+                      count["screened"] + count["measured"]);
+            if (learned) {
+                // The online model refits every generation:
+                // survivors' screens can change, so every candidate
+                // is re-screened.
+                EXPECT_EQ(count["screen_skipped"], 0);
+            } else {
+                EXPECT_GT(count["screen_skipped"], 0);
+            }
+        }
+    }
 }
 
 TEST(Tuner, MoreSearchNeverHurts)

@@ -275,7 +275,7 @@ TEST(ClampSchedule, ForeignSchedulesLandOnTheLegalEnvelope)
                   clamped.toString());
         // Reduction axes stay serial.
         for (std::size_t a = 0; a < clamped.axes.size(); ++a) {
-            if (axisIsReduction(target_plan, a)) {
+            if (target_plan.outerAxes()[a].reduction) {
                 EXPECT_EQ(clamped.axes[a].blockFactor, 1);
                 EXPECT_EQ(clamped.axes[a].warpFactor, 1);
             }
