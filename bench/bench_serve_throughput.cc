@@ -12,7 +12,8 @@
  *
  * Prints a human table to stderr, the standard envelope to stdout,
  * and writes BENCH_serve.json ($AMOS_BENCH_DIR or the working
- * directory).
+ * directory). A disk-tier table adds put and disk-get µs at 1k, 4k
+ * and 16k stored entries.
  */
 
 #include <unistd.h>
@@ -196,6 +197,57 @@ runFamilyPhase(WarmStartMode mode)
     return result;
 }
 
+struct DiskTierRow
+{
+    std::size_t entries = 0;
+    double putUs = 0.0;
+    double diskGetUs = 0.0;
+};
+
+/**
+ * Disk-tier cost at one store size: `entries` puts into a fresh
+ * directory, then 1000 gets of distinct keys through a one-entry
+ * memory tier, so every get is a disk hit. A flat curve across
+ * sizes is the indexed log's contract.
+ */
+DiskTierRow
+runDiskTier(const std::filesystem::path &dir, std::size_t entries)
+{
+    std::filesystem::remove_all(dir);
+    serve::TieredCache::Options options;
+    options.memoryCapacity = 1;
+    options.diskDir = dir.string();
+    serve::TieredCache cache(options);
+    CacheEntry entry;
+    entry.intrinsicName = "wmma_16x16x16";
+    entry.mapping.groups = {{0}, {1}, {4}};
+
+    auto key = [](std::size_t i) {
+        return "v100/gemm_" + std::to_string(i) + "_64_64/g4_s2022";
+    };
+    DiskTierRow row;
+    row.entries = entries;
+    auto t0 = Clock::now();
+    for (std::size_t i = 0; i < entries; ++i) {
+        entry.cycles = static_cast<double>(i);
+        cache.put(key(i), entry);
+    }
+    row.putUs = std::chrono::duration<double, std::micro>(
+                    Clock::now() - t0)
+                    .count() /
+                static_cast<double>(entries);
+    const std::size_t gets = 1000;
+    t0 = Clock::now();
+    for (std::size_t g = 0; g < gets; ++g)
+        cache.get(key(g * 7919 % entries));
+    row.diskGetUs = std::chrono::duration<double, std::micro>(
+                        Clock::now() - t0)
+                        .count() /
+                    static_cast<double>(gets);
+    std::filesystem::remove_all(dir);
+    return row;
+}
+
 } // namespace
 
 int
@@ -238,6 +290,15 @@ main()
         results.push_back(cold);
         results.push_back(warm);
     }
+
+    std::fprintf(stderr, "%-10s %10s %12s\n", "entries", "put us",
+                 "disk get us");
+    std::vector<DiskTierRow> diskRows;
+    for (std::size_t entries : {1000, 4000, 16000}) {
+        diskRows.push_back(runDiskTier(dir / "disk_tier", entries));
+        std::fprintf(stderr, "%-10zu %10.2f %12.2f\n", entries,
+                     diskRows.back().putUs, diskRows.back().diskGetUs);
+    }
     std::filesystem::remove_all(dir);
 
     // Warm-start cold-phase columns: repeat-family conv compiles
@@ -264,6 +325,15 @@ main()
     for (const auto &r : results)
         arr.push(toJson(r));
     report.setMetric("results", std::move(arr));
+    Json disk = Json::array();
+    for (const auto &r : diskRows) {
+        Json row = Json::object();
+        row.set("entries", Json(static_cast<std::int64_t>(r.entries)));
+        row.set("put_us", Json(r.putUs));
+        row.set("disk_get_us", Json(r.diskGetUs));
+        disk.push(std::move(row));
+    }
+    report.setMetric("disk_tier", std::move(disk));
     Json family = Json::object();
     family.set("workload",
                Json("6 held-out conv2d configs after 6 donors"));

@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "support/dylib.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/subprocess.hh"
@@ -80,16 +81,6 @@ JitEngine::global()
 {
     static JitEngine engine;
     return engine;
-}
-
-std::uint64_t
-JitEngine::fnv1a(std::string_view data, std::uint64_t hash)
-{
-    for (unsigned char c : data) {
-        hash ^= c;
-        hash *= 1099511628211ULL;
-    }
-    return hash;
 }
 
 std::uint64_t

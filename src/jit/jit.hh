@@ -34,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 #include "codegen/exec_c.hh"
 
@@ -98,16 +97,6 @@ class JitEngine
     std::uint64_t keyFor(const std::string &source) const;
     /** On-disk .so path for `source` (test hook: corruption etc.). */
     std::string cachePathFor(const std::string &source) const;
-
-    /// FNV-1a 64-bit offset basis: the hash of no bytes.
-    static constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ULL;
-
-    /**
-     * FNV-1a 64-bit, exposed for cache-key tests. Continues from
-     * `hash`, so fnv1a(b, fnv1a(a)) == fnv1a(a + b).
-     */
-    static std::uint64_t fnv1a(std::string_view data,
-                               std::uint64_t hash = kFnv1aBasis);
 
   private:
     struct Entry;

@@ -4,20 +4,33 @@
  *
  * Tier 1 is a bounded in-memory LRU of CacheEntry values (hot
  * working set, lock-free of I/O). Tier 2 is a sharded on-disk store:
- * keys hash across N shard files, each an ordinary TuningCache JSON
- * document written with the crash-safe temp+rename protocol, so a
- * restarted server warms its memory tier from whatever the previous
- * process persisted. A disk hit is promoted into the memory tier.
+ * keys hash across N shard logs, each an append-only NDJSON file of
+ * checksummed records, one per put:
  *
- * Sharding keeps both the write amplification (one insert rewrites
- * one shard, not the whole store) and the lock granularity (per
- * shard) proportional to 1/N.
+ *   <16 hex FNV-1a-64 of the rest> <JSON string key> <entry JSON>\n
+ *
+ * Each shard keeps an in-memory index from key to the (offset,
+ * length) of its newest record, so a disk hit reads and decodes one
+ * record and a put appends one line (O_APPEND, under an advisory
+ * flock so processes sharing a directory never drop each other's
+ * records). A restarted server indexes the logs and warms its memory
+ * tier from them; a disk hit is promoted into the memory tier.
+ *
+ * Fault rules: a tail without a newline (a torn append) is never
+ * indexed, and the next append first terminates it; a record whose
+ * checksum fails is skipped with a warning and counted. A shard whose
+ * superseded records outnumber its live ones is compacted by an
+ * atomic rewrite (writeFileAtomic) under the flock. Another process's
+ * appends are picked up on an index miss, and its compaction (a new
+ * inode) re-indexes the shard.
  */
 
 #ifndef AMOS_SERVE_TIERED_CACHE_HH
 #define AMOS_SERVE_TIERED_CACHE_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -31,7 +44,7 @@
 namespace amos {
 namespace serve {
 
-/** In-memory LRU over a sharded on-disk TuningCache store. */
+/** In-memory LRU over a sharded, indexed on-disk record log. */
 class TieredCache
 {
   public:
@@ -41,7 +54,7 @@ class TieredCache
         std::size_t memoryCapacity = 256;
         /// Disk-tier directory; empty disables the disk tier.
         std::string diskDir;
-        /// Shard-file count of the disk tier.
+        /// Shard-log count of the disk tier.
         std::size_t diskShards = 8;
     };
 
@@ -56,9 +69,10 @@ class TieredCache
     /**
      * `registry` (when given) receives the tier counters
      * (cache.memory_hits, cache.disk_hits, cache.misses, cache.puts,
-     * cache.promotions); without one the cache counts into a private
-     * registry reachable through metrics(). The registry must outlive
-     * the cache.
+     * cache.promotions, cache.compactions,
+     * cache.disk_records_dropped, cache.disk_read_bytes); without
+     * one the cache counts into a private registry reachable through
+     * metrics(). The registry must outlive the cache.
      */
     explicit TieredCache(Options options,
                          MetricsRegistry *registry = nullptr);
@@ -76,17 +90,22 @@ class TieredCache
     std::optional<CacheEntry> get(const std::string &key,
                                   Tier *tier = nullptr);
 
-    /** Insert into the memory tier and persist to the disk shard. */
+    /**
+     * Insert into the memory tier and append one record to the disk
+     * shard; the record is complete in the log when put returns.
+     */
     void put(const std::string &key, const CacheEntry &entry);
 
     /**
-     * Preload every disk shard into the memory tier (up to its
-     * capacity); returns the number of entries loaded. Called once
-     * at server start.
+     * Index every disk shard and preload the memory tier with the
+     * entries it retains: shards in order, keys sorted within a
+     * shard, and only the last `memoryCapacity` of them decoded (all
+     * of them when unbounded). Returns the number of disk entries.
+     * Called once at server start.
      */
     std::size_t warm();
 
-    /** Total entries across all disk shards (0 without a disk). */
+    /** Total live entries across all disk shards (0 without a disk). */
     std::size_t diskSize() const;
 
     /**
@@ -99,8 +118,52 @@ class TieredCache
     snapshotMemory() const;
 
   private:
+    /** Where a key's newest record lies in its shard log. */
+    struct RecordSpan
+    {
+        std::uint64_t offset = 0;
+        std::uint64_t length = 0; ///< Bytes, trailing newline included.
+    };
+
+    /** One shard log and its index; every field is under `mutex`. */
+    struct Shard
+    {
+        std::mutex mutex;
+        std::string path;
+        /// Read/append descriptor on the log; -1 until first opened.
+        int fd = -1;
+        /// Inode `fd` is open on; a different inode at `path` means
+        /// another process compacted the log.
+        std::uint64_t inode = 0;
+        /// Bytes of the log indexed; always ends at a newline.
+        std::uint64_t indexedEnd = 0;
+        /// Newline-terminated records indexed, live, dead or corrupt.
+        std::size_t records = 0;
+        std::map<std::string, RecordSpan> index;
+
+        ~Shard() { reset(); }
+        /** Close the descriptor and forget the index. */
+        void reset();
+    };
+
     std::size_t shardOf(const std::string &key) const;
-    std::string shardPath(std::size_t shard) const;
+
+    /// @name Shard-log operations; the caller holds the shard mutex.
+    /// @{
+    /// The index is a cache of the log, so these are const: they
+    /// change only the shard state and the counters.
+    bool openShard(Shard &shard, bool create) const;
+    void catchUp(Shard &shard) const;
+    void indexTail(Shard &shard, std::uint64_t end) const;
+    std::optional<std::string> readRecord(Shard &shard,
+                                          const std::string &key) const;
+    void append(Shard &shard, const std::string &key,
+                const std::string &record) const;
+    void compact(Shard &shard) const;
+    /// @}
+
+    /** Fetch and decode a key's newest disk record. */
+    std::optional<CacheEntry> loadFromDisk(const std::string &key);
 
     Options _options;
 
@@ -112,12 +175,15 @@ class TieredCache
     MetricCounter &_misses;
     MetricCounter &_puts;
     MetricCounter &_promotions;
+    MetricCounter &_compactions;
+    MetricCounter &_recordsDropped;
+    MetricCounter &_diskReadBytes;
 
     mutable std::mutex _memMutex;
     LruMap<std::string, CacheEntry> _memory;
 
-    /// One lock per shard file serialises its read-modify-write.
-    std::vector<std::unique_ptr<std::mutex>> _shardMutexes;
+    /// One log per shard; empty without a disk tier.
+    std::vector<std::unique_ptr<Shard>> _shards;
 };
 
 } // namespace serve

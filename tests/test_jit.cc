@@ -26,6 +26,7 @@
 #include "mapping/execute.hh"
 #include "mapping/generate.hh"
 #include "ops/operators.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -279,7 +280,7 @@ emittedKernelsHash(const TensorComputation &comp, const Intrinsic &intr)
         all += generateDirectKernelC(ep, "golden direct " + sig);
         all += generatePackedKernelC(ep, "golden packed " + sig);
     }
-    return JitEngine::fnv1a(all);
+    return fnv1a(all);
 }
 
 TEST(JitCodegen, EmittedKernelTextIsStable)
@@ -511,15 +512,15 @@ TEST(JitCache, KeyIsHashOfCompilerFlagsAndSource)
     JitOptions opts = scratchOptions("keyform");
     const std::string src = tinyKernel("keyform");
     EXPECT_EQ(JitEngine(opts).keyFor(src),
-              JitEngine::fnv1a(opts.compiler + "\n" + opts.flags + "\n" +
+              fnv1a(opts.compiler + "\n" + opts.flags + "\n" +
                                src));
     opts.compiler = "cc-test";
     opts.flags = "";
     EXPECT_EQ(JitEngine(opts).keyFor(""),
-              JitEngine::fnv1a(std::string("cc-test\n\n")));
+              fnv1a(std::string("cc-test\n\n")));
     // Known FNV-1a 64 vectors.
-    EXPECT_EQ(JitEngine::fnv1a(std::string()), 0xcbf29ce484222325ULL);
-    EXPECT_EQ(JitEngine::fnv1a(std::string("a")), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a(std::string()), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a(std::string("a")), 0xaf63dc4c8601ec8cULL);
 }
 
 TEST(JitTier, UnlinkedHookFallsBackToWalk)

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the compilation service: protocol round-trips, cache
- * tiering (memory hit, disk hit, restart warm-up), in-flight
+ * tiering (memory hit, disk hit, restart warm-up; the disk log's
+ * torn tail, corrupt record, crash inside compaction and two-process
+ * appends, injected by fork and a rename(2) interposer), in-flight
  * coalescing under a concurrent-client hammer, deadline and
  * queue-full error paths, graceful drain, and the NDJSON server
  * loop. The hammer and drain tests run under TSan in CI.
@@ -9,12 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -31,6 +37,30 @@
 #include "serve/service.hh"
 #include "support/rng.hh"
 #include "support/trace.hh"
+
+namespace {
+
+/// Exit status of a child stopped inside rename(2).
+constexpr int kCrashedInRename = 42;
+/// Set in a forked child: the next rename(2) exits the process, as a
+/// crash between a temp-file write and its rename would.
+std::atomic<bool> gCrashOnRename{false};
+
+} // namespace
+
+// Interposes the C library's rename for this test binary: writeFileAtomic
+// (the shard compaction's rewrite) links against this definition. It
+// forwards to the real rename unless a test armed the crash.
+extern "C" int
+rename(const char *from, const char *to) noexcept
+{
+    if (gCrashOnRename)
+        ::_exit(kCrashedInRename);
+    using RenameFn = int (*)(const char *, const char *);
+    static auto real =
+        reinterpret_cast<RenameFn>(::dlsym(RTLD_NEXT, "rename"));
+    return real(from, to);
+}
 
 namespace amos {
 namespace serve {
@@ -424,6 +454,335 @@ TEST(TieredCacheTest, LruBoundHoldsAndDiskBacksEvictions)
     EXPECT_FALSE(cache.get("absent", &tier).has_value());
     EXPECT_EQ(tier, TieredCache::Tier::None);
     std::filesystem::remove_all(dir);
+}
+
+/** A cache entry whose cycles tell puts of one key apart. */
+CacheEntry
+entryWithCycles(double cycles)
+{
+    CacheEntry entry;
+    entry.intrinsicName = "wmma_16x16x16";
+    entry.mapping.groups = {{0}, {1}, {4}};
+    entry.cycles = cycles;
+    return entry;
+}
+
+/** A one-shard disk tier whose memory tier holds one entry. */
+TieredCache::Options
+oneShardOptions(const std::string &dir)
+{
+    TieredCache::Options options;
+    options.memoryCapacity = 1;
+    options.diskDir = dir;
+    options.diskShards = 1;
+    return options;
+}
+
+std::string
+readWholeFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+std::vector<std::string>
+logLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(readWholeFile(path));
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** Cycles the cache answers for `key` from its disk tier. */
+std::optional<double>
+diskCycles(TieredCache &cache, const std::string &key)
+{
+    TieredCache::Tier tier;
+    auto got = cache.get(key, &tier);
+    if (!got)
+        return std::nullopt;
+    EXPECT_EQ(tier, TieredCache::Tier::Disk) << key;
+    return got->cycles;
+}
+
+std::uint64_t
+counterValue(TieredCache &cache, const std::string &name)
+{
+    return cache.metrics().counter(name).value();
+}
+
+/** Exit status of a forked child, -1 when it did not exit. */
+int
+waitChild(pid_t pid)
+{
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+TEST(TieredCacheTest, TornTailMissesOnlyItsKeyAndNextPutGetsItsOwnLine)
+{
+    auto dir = freshDiskDir("torn");
+    const std::string log = dir + "/shard-0.ndjson";
+    TieredCache writer(oneShardOptions(dir));
+    writer.put("a", entryWithCycles(1.0));
+    writer.put("b", entryWithCycles(2.0));
+    writer.put("c", entryWithCycles(3.0));
+    // A crash mid-append: "c"'s record loses its last bytes and its
+    // newline.
+    std::filesystem::resize_file(log,
+                                 std::filesystem::file_size(log) - 10);
+    {
+        TieredCache reader(oneShardOptions(dir));
+        EXPECT_EQ(diskCycles(reader, "a"), 1.0);
+        EXPECT_EQ(diskCycles(reader, "b"), 2.0);
+        EXPECT_FALSE(reader.get("c").has_value());
+        EXPECT_EQ(reader.diskSize(), 2u);
+    }
+    // The writer indexed "c" before the log shrank: its next append
+    // re-indexes, then ends the torn tail before its own record.
+    testing::internal::CaptureStderr();
+    writer.put("d", entryWithCycles(4.0));
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("torn"),
+              std::string::npos);
+    EXPECT_EQ(counterValue(writer, "cache.disk_records_dropped"), 1u);
+    auto lines = logLines(log);
+    ASSERT_EQ(lines.size(), 4u);
+    EXPECT_EQ(lines[3].find("\"d\" "), 17u) << lines[3];
+    TieredCache cache(oneShardOptions(dir));
+    EXPECT_EQ(diskCycles(cache, "d"), 4.0);
+    EXPECT_FALSE(cache.get("c").has_value());
+    EXPECT_EQ(cache.diskSize(), 3u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, FlippedByteFailsOnlyThatRecordsChecksum)
+{
+    auto dir = freshDiskDir("flip");
+    const std::string log = dir + "/shard-0.ndjson";
+    {
+        TieredCache cache(oneShardOptions(dir));
+        cache.put("a", entryWithCycles(1.0));
+        cache.put("b", entryWithCycles(2.0));
+        cache.put("c", entryWithCycles(3.0));
+    }
+    std::string bytes = readWholeFile(log);
+    auto lines = logLines(log);
+    ASSERT_EQ(lines.size(), 3u);
+    // Damage one byte inside "b"'s entry: still one well-formed line.
+    const std::size_t flip = lines[0].size() + 1 + lines[1].size() - 5;
+    bytes[flip] = bytes[flip] == '1' ? '2' : '1';
+    {
+        std::ofstream out(log, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+
+    TieredCache cache(oneShardOptions(dir));
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(diskCycles(cache, "a"), 1.0);
+    const std::string warned = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warned.find("corrupt record"), std::string::npos)
+        << warned;
+    EXPECT_FALSE(cache.get("b").has_value());
+    EXPECT_EQ(diskCycles(cache, "c"), 3.0);
+    EXPECT_EQ(cache.diskSize(), 2u);
+    EXPECT_EQ(counterValue(cache, "cache.disk_records_dropped"), 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, CrashDuringCompactionKeepsTheOldLog)
+{
+    auto dir = freshDiskDir("compact_crash");
+    const std::string log = dir + "/shard-0.ndjson";
+    {
+        TieredCache cache(oneShardOptions(dir));
+        for (int i = 0; i < 10; ++i)
+            cache.put("k" + std::to_string(i), entryWithCycles(i));
+    }
+    const std::string before = readWholeFile(log);
+    // Ten live records: the 11th superseding put of "k0" compacts.
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        TieredCache cache(oneShardOptions(dir));
+        gCrashOnRename = true;
+        for (int round = 1; round <= 11; ++round)
+            cache.put("k0", entryWithCycles(100 + round));
+        ::_exit(0);
+    }
+    ASSERT_EQ(waitChild(child), kCrashedInRename);
+
+    // The compacted copy was written and never installed.
+    std::size_t temps = 0;
+    for (const auto &file : std::filesystem::directory_iterator(dir))
+        temps += file.path().filename().string().find(".tmp.") !=
+                 std::string::npos;
+    EXPECT_EQ(temps, 1u);
+    const std::string after = readWholeFile(log);
+    ASSERT_GT(after.size(), before.size());
+    EXPECT_EQ(after.substr(0, before.size()), before);
+    EXPECT_EQ(logLines(log).size(), 21u);
+
+    TieredCache cache(oneShardOptions(dir));
+    EXPECT_EQ(cache.diskSize(), 10u);
+    EXPECT_EQ(diskCycles(cache, "k0"), 111.0);
+    for (int i = 1; i < 10; ++i)
+        EXPECT_EQ(diskCycles(cache, "k" + std::to_string(i)),
+                  static_cast<double>(i));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, CompactionKeepsTheLogWithinTwiceItsLiveRecords)
+{
+    auto dir = freshDiskDir("compact");
+    const std::string log = dir + "/shard-0.ndjson";
+    TieredCache cache(oneShardOptions(dir));
+    for (int round = 0; round < 100; ++round) {
+        cache.put("hot", entryWithCycles(round));
+        EXPECT_LE(logLines(log).size(), 2u) << "after put " << round;
+    }
+    EXPECT_GT(counterValue(cache, "cache.compactions"), 0u);
+    EXPECT_EQ(cache.diskSize(), 1u);
+    cache.put("other", entryWithCycles(-1.0)); // evicts "hot"
+    EXPECT_EQ(diskCycles(cache, "hot"), 99.0);
+    TieredCache fresh(oneShardOptions(dir));
+    EXPECT_EQ(diskCycles(fresh, "hot"), 99.0);
+    EXPECT_EQ(diskCycles(fresh, "other"), -1.0);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, TwoProcessHammerLosesNoRecord)
+{
+    auto dir = freshDiskDir("hammer");
+    TieredCache::Options options;
+    options.memoryCapacity = 16;
+    options.diskDir = dir;
+    // Both children start on one signal, so their puts overlap.
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
+    std::vector<pid_t> children;
+    for (int c = 0; c < 2; ++c) {
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::close(gate[1]);
+            char byte;
+            while (::read(gate[0], &byte, 1) < 0 && errno == EINTR) {
+            }
+            TieredCache cache(options);
+            for (int i = 0; i < 500; ++i)
+                cache.put("p" + std::to_string(c) + "_" +
+                              std::to_string(i),
+                          entryWithCycles(1000 * c + i));
+            ::_exit(0);
+        }
+        children.push_back(pid);
+    }
+    ::close(gate[0]);
+    ::close(gate[1]);
+    for (pid_t pid : children)
+        EXPECT_EQ(waitChild(pid), 0);
+
+    options.memoryCapacity = 1;
+    TieredCache cache(options);
+    EXPECT_EQ(cache.diskSize(), 1000u);
+    for (int c = 0; c < 2; ++c)
+        for (int i = 0; i < 500; ++i) {
+            auto key = "p" + std::to_string(c) + "_" + std::to_string(i);
+            auto got = cache.get(key);
+            ASSERT_TRUE(got.has_value()) << key;
+            EXPECT_EQ(got->cycles, 1000.0 * c + i) << key;
+        }
+    EXPECT_EQ(counterValue(cache, "cache.disk_records_dropped"), 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, OpenInstanceSeesAnotherProcessesAppendsAndCompaction)
+{
+    auto dir = freshDiskDir("catchup");
+    const std::string log = dir + "/shard-0.ndjson";
+    auto inChild = [](const std::function<void()> &work) {
+        pid_t pid = ::fork();
+        if (pid == 0) {
+            work();
+            ::_exit(0);
+        }
+        return waitChild(pid);
+    };
+
+    TieredCache open(oneShardOptions(dir));
+    open.put("mine", entryWithCycles(7.0));
+    EXPECT_EQ(open.diskSize(), 1u);
+
+    // Appends by another process: an index miss catches up.
+    ASSERT_EQ(inChild([&] {
+                  TieredCache other(oneShardOptions(dir));
+                  for (int i = 0; i < 10; ++i)
+                      other.put("x" + std::to_string(i),
+                                entryWithCycles(i));
+              }),
+              0);
+    EXPECT_EQ(diskCycles(open, "x3"), 3.0);
+
+    // A compaction by another process replaces the log's inode: the
+    // open instance re-indexes the new file.
+    struct stat st;
+    ASSERT_EQ(::stat(log.c_str(), &st), 0);
+    const ino_t oldInode = st.st_ino;
+    ASSERT_EQ(inChild([&] {
+                  TieredCache other(oneShardOptions(dir));
+                  for (int round = 0; round < 12; ++round)
+                      other.put("x0", entryWithCycles(50 + round));
+                  other.put("y", entryWithCycles(9.0));
+              }),
+              0);
+    ASSERT_EQ(::stat(log.c_str(), &st), 0);
+    EXPECT_NE(st.st_ino, oldInode);
+    EXPECT_EQ(diskCycles(open, "y"), 9.0);
+    EXPECT_EQ(diskCycles(open, "x0"), 61.0);
+    EXPECT_EQ(diskCycles(open, "mine"), 7.0);
+    open.put("z", entryWithCycles(8.0));
+
+    TieredCache fresh(oneShardOptions(dir));
+    EXPECT_EQ(fresh.diskSize(), 13u);
+    EXPECT_EQ(diskCycles(fresh, "z"), 8.0);
+    EXPECT_EQ(diskCycles(fresh, "y"), 9.0);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, DiskGetReadsOneRecordAtAnyStoreSize)
+{
+    std::vector<std::uint64_t> readPerGet;
+    for (int entries : {1000, 16000}) {
+        auto dir = freshDiskDir("flat");
+        TieredCache::Options options;
+        options.memoryCapacity = 1;
+        options.diskDir = dir;
+        TieredCache cache(options);
+        for (int i = 0; i < entries; ++i)
+            cache.put("k" + std::to_string(i), entryWithCycles(1.0));
+
+        // The record's length as it lies in its shard log.
+        std::uint64_t recordBytes = 0;
+        for (const auto &file : std::filesystem::directory_iterator(dir))
+            for (const auto &line : logLines(file.path().string()))
+                if (line.find("\"k0\" ") == 17)
+                    recordBytes = line.size() + 1;
+        ASSERT_GT(recordBytes, 0u);
+
+        const auto before = counterValue(cache, "cache.disk_read_bytes");
+        EXPECT_EQ(diskCycles(cache, "k0"), 1.0);
+        readPerGet.push_back(
+            counterValue(cache, "cache.disk_read_bytes") - before);
+        EXPECT_EQ(readPerGet.back(), recordBytes) << entries;
+        std::filesystem::remove_all(dir);
+    }
+    EXPECT_EQ(readPerGet[0], readPerGet[1]);
 }
 
 TEST(Server, StreamServesAndCoalescesOverNdjson)
