@@ -3,13 +3,13 @@
  * Warm-start exploration benchmark: how much of a cold search's
  * budget does shape-transfer seeding save?
  *
- * Cold-tunes a family of donor shapes into a tuning cache, then
- * tunes held-out family members twice — cold (random generation 0)
- * and warm (generation 0 seeded from the nearest cached winners) —
- * and records the best-so-far-vs-generation curve of each run. The
- * headline number is the generation fraction: the first warm
- * generation whose incumbent matches the cold run's *final* best,
- * over the cold run's generation count (ISSUE target: <= 0.5).
+ * Cold-tunes a family of donor shapes, then tunes held-out family
+ * members twice — cold (random generation 0) and warm (generation 0
+ * seeded from the nearest donor winners) — and records the
+ * best-so-far-vs-generation curve of each run. The headline number
+ * is the generation fraction: the first warm generation whose
+ * incumbent matches the cold run's *final* best, over the cold run's
+ * generation count (target: <= 0.5).
  *
  * Both searches are deterministic (fixed seeds), so the curves and
  * the generation fraction are machine-independent; the *_eps
@@ -106,30 +106,20 @@ main(int argc, char **argv)
     auto hw = hw::v100();
     TuneOptions base = bench::benchTuning();
 
-    // Donor family: cold-tune once, cache the winners.
+    // Donor family: cold-tune once; each winner becomes a seed.
     std::vector<std::pair<std::int64_t, std::int64_t>> donor_shapes =
         {{4, 32}, {8, 32}, {16, 32}, {8, 64}};
-    TuningCache cache;
+    std::vector<WarmSeed> donors;
     for (auto [batch, cout] : donor_shapes) {
         auto comp = familyConv(batch, cout);
         auto result = tune(comp, hw, base);
         expect(result.tensorizable, "bench_warmstart: donor shape "
                                     "failed to tensorize");
-        CacheEntry entry;
-        entry.intrinsicName = result.bestPlan->intrinsic().name();
-        entry.mapping = result.bestPlan->mapping();
-        entry.schedule = result.bestSchedule;
-        entry.cycles = result.bestCycles;
-        cache.insert(TuningCache::keyFor(comp, hw),
-                     std::move(entry));
-    }
-    std::vector<WarmSeed> donors;
-    for (auto &[key, entry] : cache.snapshot()) {
         WarmSeed seed;
-        seed.sourceKey = key;
-        seed.intrinsicName = entry.intrinsicName;
-        seed.mapping = entry.mapping;
-        seed.schedule = entry.schedule;
+        seed.sourceKey = TuningCache::keyFor(comp, hw);
+        seed.intrinsicName = result.bestPlan->intrinsic().name();
+        seed.mapping = result.bestPlan->mapping();
+        seed.schedule = result.bestSchedule;
         donors.push_back(std::move(seed));
     }
 

@@ -3,14 +3,15 @@
  * amos_cli — command-line front end to the compiler.
  *
  * Compile an operator for a modelled accelerator, optionally through
- * a persistent tuning cache, list its valid mappings, or emit the
- * generated C kernel.
+ * a persistent tuning cache (--cache DIR: the same shard-log store
+ * as amos_served --cache-dir, docs/serving.md), list its valid
+ * mappings, or emit the generated C kernel.
  *
  * Examples:
  *   amos_cli --op conv2d --batch 16 --cin 128 --cout 128 \
  *            --size 28 --kernel 3 --hw v100
  *   amos_cli --op gemm --m 512 --n 512 --k 512 --hw a100 \
- *            --cache /tmp/tuning.json --threads 8
+ *            --cache /tmp/amos-cache --threads 8
  *   amos_cli --op gemm --m 256 --n 256 --k 256 --hw v100 --json \
  *       | jq .result.gflops
  *   amos_cli --op depthwise --batch 1 --cin 128 --size 28 \
@@ -30,7 +31,7 @@
  *            --dtype u8i8   # int8 GEMM on the VNNI intrinsic
  *   amos_cli --op conv2d --size 14 --hw mali --dtype i8
  *   amos_cli --op gemm --m 320 --n 64 --k 64 --hw v100 \
- *            --cache /tmp/tuning.json --warm-start neighbors
+ *            --cache /tmp/amos-cache --warm-start neighbors
  *   amos_cli --op gemm --m 256 --n 256 --k 256 --hw v100 \
  *            --model-snapshot /tmp/model.json   # trained screen
  *
@@ -53,13 +54,15 @@
  *   2 bad usage, 3 the operator could not be tensorized and
  *   --require-tensorized was given, 4 an output path (--trace-out,
  *   --flight-dump, --explain-out, --telemetry-out, --emit-c) is
- *   not writable.
+ *   not writable or the --cache path cannot be a directory.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "amos/amos.hh"
@@ -69,6 +72,7 @@
 #include "mapping/generate.hh"
 #include "report/explain.hh"
 #include "serve/protocol.hh"
+#include "serve/tiered_cache.hh"
 #include "support/atomic_file.hh"
 #include "support/trace.hh"
 
@@ -110,6 +114,27 @@ writeFileOrThrow(const std::string &path,
     } catch (const FatalError &) {
         throw IoError(std::string(flagName) + ": failed writing '" +
                       path + "'");
+    }
+}
+
+/**
+ * Open the --cache store with every entry in memory, so each stored
+ * winner is a warm-start donor.
+ */
+std::unique_ptr<serve::TieredCache>
+openCache(const std::string &dir)
+{
+    serve::TieredCache::Options options;
+    options.diskDir = dir;
+    options.memoryCapacity = 0;
+    try {
+        auto cache = std::make_unique<serve::TieredCache>(options);
+        cache->warm();
+        return cache;
+    } catch (const std::filesystem::filesystem_error &e) {
+        throw IoError("--cache: cannot use '" + dir +
+                      "' as a cache directory (" +
+                      e.code().message() + ")");
     }
 }
 
@@ -254,11 +279,10 @@ runCli(const Args &args)
     CompileResult result;
     std::string cache_path = args.str("cache", "");
     if (!cache_path.empty()) {
-        auto cache = TuningCache::loadFileIfExists(cache_path);
-        result = compiler.compileWithCache(comp, cache);
-        cache.saveFile(cache_path);
+        auto cache = openCache(cache_path);
+        result = serve::compileWithCache(compiler, comp, *cache);
         std::fprintf(stderr, "tuning cache: %s (%zu entries)\n",
-                     cache_path.c_str(), cache.size());
+                     cache_path.c_str(), cache->diskSize());
     } else {
         result = compiler.compile(comp);
     }

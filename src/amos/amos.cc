@@ -125,53 +125,17 @@ replayCacheEntry(const CacheEntry &entry,
     return result;
 }
 
-CompileResult
-Compiler::compileWithCache(const TensorComputation &comp,
-                           TuningCache &cache) const
+std::optional<CacheEntry>
+cacheEntryOf(const CompileResult &result)
 {
-    auto key = TuningCache::keyFor(comp, _hw);
-    // tryGet copies the entry under the cache lock, so concurrent
-    // compilers inserting the same key cannot tear the read.
-    if (auto entry = cache.tryGet(key)) {
-        if (auto result = replayCacheEntry(*entry, comp, _hw))
-            return *result;
-        // A stale or foreign entry: fall through to a fresh tune.
-    }
-
-    // Warm start from the same cache that missed: other shapes'
-    // winners seed this exploration. The donor scan runs over a
-    // snapshot() copy, never under the cache mutex, and explicit
-    // caller-provided seeds are left alone.
-    TuneOptions options = _options;
-    if (warmStartUsesNeighbors(options.warmStart.mode) &&
-        options.warmStart.seeds.empty()) {
-        std::vector<WarmSeed> donors;
-        for (auto &[donor_key, entry] : cache.snapshot()) {
-            if (donor_key == key)
-                continue;
-            WarmSeed seed;
-            seed.sourceKey = donor_key;
-            seed.intrinsicName = entry.intrinsicName;
-            seed.mapping = entry.mapping;
-            seed.schedule = entry.schedule;
-            donors.push_back(std::move(seed));
-        }
-        options.warmStart.seeds =
-            nearestSeeds(shapeFeatureOf(comp, _hw),
-                         std::move(donors));
-    }
-
-    auto result = Compiler(_hw, options).compile(comp);
-    if (result.tensorized && result.tuning.bestPlan) {
-        CacheEntry entry;
-        entry.intrinsicName =
-            result.tuning.bestPlan->intrinsic().name();
-        entry.mapping = result.tuning.bestPlan->mapping();
-        entry.schedule = result.tuning.bestSchedule;
-        entry.cycles = result.tuning.bestCycles;
-        cache.insert(key, std::move(entry));
-    }
-    return result;
+    if (!result.tensorized || !result.tuning.bestPlan)
+        return std::nullopt;
+    CacheEntry entry;
+    entry.intrinsicName = result.tuning.bestPlan->intrinsic().name();
+    entry.mapping = result.tuning.bestPlan->mapping();
+    entry.schedule = result.tuning.bestSchedule;
+    entry.cycles = result.tuning.bestCycles;
+    return entry;
 }
 
 NetworkResult

@@ -69,13 +69,20 @@ struct CompileResult
  * mapping on the hardware, lower and simulate the cached schedule,
  * and package a CompileResult — no exploration, so the whole replay
  * costs a single simulator run. nullopt when the entry is stale
- * (intrinsic absent or mapping no longer valid). Both the
- * compile-with-cache fast path and the serve layer's cache tiers
- * funnel through here.
+ * (intrinsic absent or mapping no longer valid). Every cache hit,
+ * from amos_cli --cache and from the serve layer's tiers, funnels
+ * through here.
  */
 std::optional<CompileResult> replayCacheEntry(
     const CacheEntry &entry, const TensorComputation &comp,
     const HardwareSpec &hw);
+
+/**
+ * The inverse of replayCacheEntry: the record a compile leaves in
+ * the tuning-record store (winning intrinsic, mapping, schedule and
+ * tuned cycles); nullopt when the result holds no tensorized plan.
+ */
+std::optional<CacheEntry> cacheEntryOf(const CompileResult &result);
 
 /** The AMOS compiler for a fixed hardware target. */
 class Compiler
@@ -102,14 +109,6 @@ class Compiler
 
     /** Compile a whole network (Sec. 7.4). */
     NetworkResult compileNetwork(const Network &net) const;
-
-    /**
-     * Compile through a tuning cache: structurally identical
-     * workloads re-materialise the persisted mapping + schedule
-     * instead of re-exploring; misses tune and populate the cache.
-     */
-    CompileResult compileWithCache(const TensorComputation &comp,
-                                   TuningCache &cache) const;
 
   private:
     HardwareSpec _hw;

@@ -1,9 +1,7 @@
 #include "cache.hh"
 
-#include <fstream>
 #include <sstream>
 
-#include "support/atomic_file.hh"
 #include "support/logging.hh"
 
 namespace amos {
@@ -120,50 +118,6 @@ CacheEntry::instantiate(const TensorComputation &comp,
     return std::nullopt;
 }
 
-TuningCache::TuningCache(const TuningCache &other)
-{
-    std::lock_guard<std::mutex> lock(other._mutex);
-    _entries = other._entries;
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-}
-
-TuningCache &
-TuningCache::operator=(const TuningCache &other)
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lock(_mutex, other._mutex);
-    _entries = other._entries;
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-    return *this;
-}
-
-TuningCache::TuningCache(TuningCache &&other) noexcept
-{
-    std::lock_guard<std::mutex> lock(other._mutex);
-    _entries = std::move(other._entries);
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-}
-
-TuningCache &
-TuningCache::operator=(TuningCache &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lock(_mutex, other._mutex);
-    _entries = std::move(other._entries);
-    _hits.store(other._hits.load());
-    _misses.store(other._misses.load());
-    _inserts.store(other._inserts.load());
-    return *this;
-}
-
 std::string
 TuningCache::keyFor(const TensorComputation &comp,
                     const HardwareSpec &hw)
@@ -184,150 +138,6 @@ TuningCache::keyFor(const TensorComputation &comp,
         key << dtypeName(comp.output().dtype());
     }
     return key.str();
-}
-
-bool
-TuningCache::contains(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    bool found = _entries.count(key) > 0;
-    (found ? _hits : _misses).fetch_add(1, std::memory_order_relaxed);
-    return found;
-}
-
-const CacheEntry &
-TuningCache::lookup(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _entries.find(key);
-    require(it != _entries.end(), "TuningCache: missing key ", key);
-    _hits.fetch_add(1, std::memory_order_relaxed);
-    // std::map node references stay valid across later inserts (the
-    // mapped *value* may still be rewritten by a same-key insert —
-    // see the class comment; tryGet() is the concurrent-safe read).
-    return it->second;
-}
-
-std::optional<CacheEntry>
-TuningCache::tryGet(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _entries.find(key);
-    if (it == _entries.end()) {
-        _misses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    _hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-}
-
-void
-TuningCache::insert(const std::string &key, CacheEntry entry)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _entries[key] = std::move(entry);
-    _inserts.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-TuningCache::hitCount() const
-{
-    return _hits.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-TuningCache::missCount() const
-{
-    return _misses.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-TuningCache::insertCount() const
-{
-    return _inserts.load(std::memory_order_relaxed);
-}
-
-std::size_t
-TuningCache::size() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _entries.size();
-}
-
-std::vector<std::pair<std::string, CacheEntry>>
-TuningCache::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::vector<std::pair<std::string, CacheEntry>> out;
-    out.reserve(_entries.size());
-    for (const auto &[key, entry] : _entries)
-        out.emplace_back(key, entry);
-    return out;
-}
-
-Json
-TuningCache::toJson() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    Json out = Json::object();
-    for (const auto &[key, entry] : _entries)
-        out.set(key, entry.toJson());
-    return out;
-}
-
-TuningCache
-TuningCache::fromJson(const Json &json)
-{
-    TuningCache cache;
-    if (json.kind() != Json::Kind::Object) {
-        warn("TuningCache: document root is not an object; "
-             "starting empty");
-        return cache;
-    }
-    for (const auto &[key, value] : json.entries()) {
-        try {
-            cache._entries[key] = CacheEntry::fromJson(value);
-        } catch (const std::exception &e) {
-            warn("TuningCache: skipping corrupt entry '", key,
-                 "': ", e.what());
-        }
-    }
-    return cache;
-}
-
-void
-TuningCache::saveFile(const std::string &path) const
-{
-    writeFileAtomic(path, toJson().dump() + "\n");
-}
-
-TuningCache
-TuningCache::loadFile(const std::string &path)
-{
-    std::ifstream in(path);
-    expect(in.good(), "TuningCache: cannot read ", path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    try {
-        return fromJson(Json::parse(buffer.str()));
-    } catch (const std::exception &e) {
-        // A truncated or corrupt file (crash mid-write predating the
-        // atomic rename, disk fault) costs the cached entries, never
-        // the process.
-        warn("TuningCache: cannot parse ", path, " (", e.what(),
-             "); starting empty");
-        return TuningCache();
-    }
-}
-
-TuningCache
-TuningCache::loadFileIfExists(const std::string &path)
-{
-    std::ifstream probe(path);
-    if (!probe.good())
-        return TuningCache();
-    probe.close();
-    return loadFile(path);
 }
 
 } // namespace amos

@@ -537,26 +537,9 @@ CompileService::runJob(std::shared_ptr<Job> job)
             options.warmStart.model = job->model;
             if (job->warmMode != WarmStartMode::Off)
                 options.warmStart.patience = kWarmStartPatience;
-            if (warmStartUsesNeighbors(job->warmMode)) {
-                // Donor scan over a snapshot copy: one lock
-                // acquisition to copy the memory tier, then all
-                // feature distances computed lock-free so the serve
-                // hot path stays uncontended.
-                auto snap = _cache.snapshotMemory();
-                std::vector<WarmSeed> donors;
-                donors.reserve(snap.size());
-                for (auto &[donor_key, entry] : snap) {
-                    WarmSeed seed;
-                    seed.sourceKey = donor_key;
-                    seed.intrinsicName = entry.intrinsicName;
-                    seed.mapping = entry.mapping;
-                    seed.schedule = entry.schedule;
-                    donors.push_back(std::move(seed));
-                }
-                options.warmStart.seeds = nearestSeeds(
-                    shapeFeatureOf(job->comp, job->hw),
-                    std::move(donors));
-            }
+            if (warmStartUsesNeighbors(job->warmMode))
+                options.warmStart.seeds = nearestCachedSeeds(
+                    _cache, job->key, job->comp, job->hw);
             Compiler compiler(job->hw, options);
             _compiles.add();
             auto result = compiler.compile(job->comp);
@@ -564,15 +547,8 @@ CompileService::runJob(std::shared_ptr<Job> job)
                 result.tuning.warmStartNeighbors));
             _warmSeeded.add(static_cast<std::uint64_t>(
                 result.tuning.warmStartSeeded));
-            if (result.tensorized && result.tuning.bestPlan) {
-                CacheEntry entry;
-                entry.intrinsicName =
-                    result.tuning.bestPlan->intrinsic().name();
-                entry.mapping = result.tuning.bestPlan->mapping();
-                entry.schedule = result.tuning.bestSchedule;
-                entry.cycles = result.tuning.bestCycles;
-                _cache.put(job->key, entry);
-            }
+            if (auto entry = cacheEntryOf(result))
+                _cache.put(job->key, *entry);
             outcome.ok = true;
             outcome.result = std::move(result);
             outcome.servedBy = "compile";

@@ -1,6 +1,7 @@
 #include "tiered_cache.hh"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -105,6 +106,42 @@ lockFile(int fd, int op)
     }
 }
 
+/**
+ * Remove the compaction temps in `dir` (writeFileAtomic's
+ * `shard-N.ndjson.tmp.<pid>.<n>`) whose writer no longer exists; a
+ * live writer's temp may be mid-compaction and is kept. Returns the
+ * number removed. Pids are read in this process's pid namespace; a
+ * live temp removed by a process in another namespace only fails
+ * that compaction's rename, which leaves the old log in place.
+ */
+std::size_t
+removeOrphanTemps(const std::string &dir)
+{
+    constexpr std::string_view kTemp = ".ndjson.tmp.";
+    std::size_t removed = 0;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        const std::size_t at = name.find(kTemp);
+        if (name.rfind("shard-", 0) != 0 || at == std::string::npos)
+            continue;
+        const char *first = name.data() + at + kTemp.size();
+        const char *last = name.data() + name.size();
+        pid_t pid = 0;
+        auto parsed = std::from_chars(first, last, pid);
+        if (parsed.ec != std::errc() || parsed.ptr == last ||
+            *parsed.ptr != '.' || pid <= 0)
+            continue;
+        if (::kill(pid, 0) == 0 || errno != ESRCH)
+            continue;
+        std::error_code removeError;
+        if (std::filesystem::remove(it->path(), removeError))
+            ++removed;
+    }
+    return removed;
+}
+
 } // namespace
 
 void
@@ -138,6 +175,8 @@ TieredCache::TieredCache(Options options, MetricsRegistry *registry)
         _options.diskShards = 1;
     if (hasDisk()) {
         std::filesystem::create_directories(_options.diskDir);
+        _metrics->counter("cache.orphan_temps_removed")
+            .add(removeOrphanTemps(_options.diskDir));
         for (std::size_t s = 0; s < _options.diskShards; ++s) {
             _shards.push_back(std::make_unique<Shard>());
             _shards.back()->path = _options.diskDir + "/shard-" +
@@ -457,6 +496,48 @@ TieredCache::diskSize() const
         total += shard->index.size();
     }
     return total;
+}
+
+std::vector<WarmSeed>
+nearestCachedSeeds(const TieredCache &cache, const std::string &key,
+                   const TensorComputation &comp, const HardwareSpec &hw)
+{
+    auto snap = cache.snapshotMemory();
+    std::vector<WarmSeed> donors;
+    donors.reserve(snap.size());
+    for (auto &[donorKey, entry] : snap) {
+        if (donorKey == key)
+            continue;
+        WarmSeed seed;
+        seed.sourceKey = donorKey;
+        seed.intrinsicName = entry.intrinsicName;
+        seed.mapping = std::move(entry.mapping);
+        seed.schedule = std::move(entry.schedule);
+        donors.push_back(std::move(seed));
+    }
+    return nearestSeeds(shapeFeatureOf(comp, hw), std::move(donors));
+}
+
+CompileResult
+compileWithCache(const Compiler &compiler, const TensorComputation &comp,
+                 TieredCache &cache)
+{
+    const HardwareSpec &hw = compiler.hardware();
+    const std::string key = TuningCache::keyFor(comp, hw);
+    if (auto entry = cache.get(key)) {
+        if (auto result = replayCacheEntry(*entry, comp, hw))
+            return *result;
+        // A stale or foreign entry: fall through to a fresh tune.
+    }
+    TuneOptions options = compiler.options();
+    if (warmStartUsesNeighbors(options.warmStart.mode) &&
+        options.warmStart.seeds.empty())
+        options.warmStart.seeds =
+            nearestCachedSeeds(cache, key, comp, hw);
+    auto result = Compiler(hw, options).compile(comp);
+    if (auto entry = cacheEntryOf(result))
+        cache.put(key, *entry);
+    return result;
 }
 
 } // namespace serve

@@ -22,7 +22,11 @@
  * superseded records outnumber its live ones is compacted by an
  * atomic rewrite (writeFileAtomic) under the flock. Another process's
  * appends are picked up on an index miss, and its compaction (a new
- * inode) re-indexes the shard.
+ * inode) re-indexes the shard. Opening a directory removes the
+ * compaction temps of processes that died before their rename.
+ *
+ * The store serves both amos_served (--cache-dir) and amos_cli
+ * (--cache, through compileWithCache below).
  */
 
 #ifndef AMOS_SERVE_TIERED_CACHE_HH
@@ -37,7 +41,8 @@
 #include <string>
 #include <vector>
 
-#include "amos/cache.hh"
+#include "amos/amos.hh"
+#include "explore/warm_start.hh"
 #include "support/lru.hh"
 #include "support/metrics.hh"
 
@@ -70,7 +75,8 @@ class TieredCache
      * `registry` (when given) receives the tier counters
      * (cache.memory_hits, cache.disk_hits, cache.misses, cache.puts,
      * cache.promotions, cache.compactions,
-     * cache.disk_records_dropped, cache.disk_read_bytes); without
+     * cache.disk_records_dropped, cache.disk_read_bytes, and with a
+     * disk tier cache.orphan_temps_removed); without
      * one the cache counts into a private registry reachable through
      * metrics(). The registry must outlive the cache.
      */
@@ -185,6 +191,27 @@ class TieredCache
     /// One log per shard; empty without a disk tier.
     std::vector<std::unique_ptr<Shard>> _shards;
 };
+
+/**
+ * Warm-start donors for a miss on `key`: the memory tier's other
+ * entries, ranked by nearestSeeds. One lock acquisition copies the
+ * tier; the feature distances run outside the cache mutex.
+ */
+std::vector<WarmSeed> nearestCachedSeeds(const TieredCache &cache,
+                                         const std::string &key,
+                                         const TensorComputation &comp,
+                                         const HardwareSpec &hw);
+
+/**
+ * Compile through the store, keyed by TuningCache::keyFor: a hit
+ * replays the stored plan (replayCacheEntry); a miss, or a stale
+ * entry, tunes and puts the winner. In the neighbor warm-start modes
+ * a miss is seeded from the nearest stored winners, unless the
+ * compiler's options already carry seeds.
+ */
+CompileResult compileWithCache(const Compiler &compiler,
+                               const TensorComputation &comp,
+                               TieredCache &cache);
 
 } // namespace serve
 } // namespace amos

@@ -1,25 +1,30 @@
 /**
  * @file
  * Unit tests for the tuning cache: mapping/schedule serialisation
- * round-trips, entry instantiation, file persistence, and the
- * compile-with-cache fast path.
+ * round-trips, entry instantiation, the workload key, and the
+ * `amos_cli --cache` path — serve::compileWithCache over a
+ * TieredCache opened the way the CLI opens it (every entry in
+ * memory), including eight forked processes sharing one directory.
+ * The store's fault rules (torn tail, flipped byte, crash inside
+ * compaction, two-process appends) are tested in test_serve.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
+#include <cerrno>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "amos/amos.hh"
 #include "ops/conv_layers.hh"
+#include "ops/operators.hh"
+#include "serve/tiered_cache.hh"
 
 namespace amos {
 namespace {
@@ -30,18 +35,43 @@ benchConv()
     return ops::resnet18ConvLayers(16)[5].build();
 }
 
-/** Leftover `<path>.tmp*` files next to `path`. */
-std::size_t
-tempSiblings(const std::string &path)
+using serve::TieredCache;
+
+/** Unique, empty store directory for one test. */
+std::string
+freshCacheDir(const std::string &tag)
 {
-    const std::filesystem::path target(path);
-    const std::string prefix = target.filename().string() + ".tmp";
-    std::size_t count = 0;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             target.parent_path()))
-        if (entry.path().filename().string().rfind(prefix, 0) == 0)
-            ++count;
-    return count;
+    auto dir = std::filesystem::temp_directory_path() /
+               ("amos_cache_" + tag + "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    return dir.string();
+}
+
+/** The store as `amos_cli --cache DIR` opens it. */
+TieredCache::Options
+cliOptions(const std::string &dir)
+{
+    TieredCache::Options options;
+    options.diskDir = dir;
+    options.memoryCapacity = 0;
+    return options;
+}
+
+CacheEntry
+sampleEntry(double cycles)
+{
+    CacheEntry entry;
+    entry.intrinsicName = "wmma_16x16x16";
+    entry.mapping.groups = {{0, 3}, {1}, {4, 5}};
+    entry.schedule.axes = {{2, 2}, {1, 1}, {4, 1}, {1, 1}, {1, 1}};
+    entry.cycles = cycles;
+    return entry;
+}
+
+std::uint64_t
+counterValue(TieredCache &cache, const std::string &name)
+{
+    return cache.metrics().counter(name).value();
 }
 
 TEST(CacheSerialise, MappingRoundTrip)
@@ -125,160 +155,40 @@ TEST(TuningCacheTest, KeyEncodesShapeAndHardware)
 
 TEST(TuningCacheTest, FileRoundTrip)
 {
-    TuningCache cache;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    entry.mapping.groups = {{0, 3}, {1}, {4, 5}};
-    entry.schedule.axes = {{2, 2}, {1, 1}, {4, 1}, {1, 1}, {1, 1}};
-    entry.cycles = 12345.0;
-    cache.insert("k1", entry);
-
-    std::string path = "/tmp/amos_cache_test.json";
-    cache.saveFile(path);
-    auto loaded = TuningCache::loadFile(path);
-    std::remove(path.c_str());
-
-    ASSERT_TRUE(loaded.contains("k1"));
-    const auto &round = loaded.lookup("k1");
-    EXPECT_EQ(round.intrinsicName, "wmma_16x16x16");
-    EXPECT_EQ(round.mapping.groups, entry.mapping.groups);
-    EXPECT_DOUBLE_EQ(round.cycles, 12345.0);
-    EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_THROW(loaded.lookup("absent"), PanicError);
-    EXPECT_THROW(TuningCache::loadFile("/no/such/file.json"),
-                 FatalError);
-}
-
-TEST(TuningCacheTest, SaveIsAtomicAndLeavesNoTempFile)
-{
-    TuningCache cache;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    entry.mapping.groups = {{0}, {1}, {4}};
-    entry.cycles = 3.0;
-    cache.insert("k", entry);
-
-    std::string path = "/tmp/amos_cache_atomic.json";
-    // Overwrite an existing (stale) file: the temp-then-rename
-    // protocol must replace it wholesale and clean up the temp.
+    auto dir = freshCacheDir("roundtrip");
+    const CacheEntry entry = sampleEntry(12345.0);
     {
-        std::ofstream stale(path);
-        stale << "stale garbage";
+        TieredCache cache(cliOptions(dir));
+        cache.put("k1", entry);
     }
-    cache.saveFile(path);
-    EXPECT_EQ(tempSiblings(path), 0u);
-    auto loaded = TuningCache::loadFile(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_TRUE(loaded.contains("k"));
-}
-
-TEST(TuningCacheTest, ConcurrentSaversOfOnePathNeverCollide)
-{
-    // Two servers sharing a --cache-dir save the same file. Each
-    // save must install one complete document: no throw, no torn
-    // file, no temp file left behind.
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("amos_cache_race_" + std::to_string(::getpid()) + ".json"))
-            .string();
-    const int kThreads = 8;
-    const int kSaves = 25;
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            TuningCache cache;
-            for (int i = 0; i <= t; ++i) {
-                CacheEntry entry;
-                entry.intrinsicName = "wmma_16x16x16";
-                entry.mapping.groups = {{0}, {1}, {4}};
-                entry.cycles = static_cast<double>(t);
-                cache.insert("t" + std::to_string(t) + "_" +
-                                 std::to_string(i),
-                             entry);
-            }
-            for (int i = 0; i < kSaves; ++i) {
-                try {
-                    cache.saveFile(path);
-                } catch (const std::exception &) {
-                    failures.fetch_add(1);
-                }
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-    EXPECT_EQ(failures.load(), 0);
-
-    std::ifstream in(path);
-    std::stringstream text;
-    text << in.rdbuf();
-    Json doc;
-    ASSERT_NO_THROW(doc = Json::parse(text.str()));
-    // The file is one saver's whole document: t+1 entries of t.
-    auto loaded = TuningCache::fromJson(doc);
-    ASSERT_GE(loaded.size(), 1u);
-    const int winner = static_cast<int>(loaded.size()) - 1;
-    for (int i = 0; i <= winner; ++i)
-        EXPECT_TRUE(loaded.contains("t" + std::to_string(winner) +
-                                    "_" + std::to_string(i)));
-    EXPECT_EQ(tempSiblings(path), 0u);
-    std::remove(path.c_str());
-}
-
-TEST(TuningCacheTest, LoadToleratesTruncatedFile)
-{
-    // A crash mid-write before the rename never corrupts the real
-    // file; but a file truncated by other means must not take the
-    // process down — it degrades to an empty cache.
-    std::string path = "/tmp/amos_cache_truncated.json";
-    {
-        std::ofstream out(path);
-        out << R"({"k1":{"intrinsic":"wmma_16x16x16","mapping")";
-    }
-    auto loaded = TuningCache::loadFile(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded.size(), 0u);
-}
-
-TEST(TuningCacheTest, LoadSkipsCorruptEntriesKeepsGoodOnes)
-{
-    TuningCache cache;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    entry.mapping.groups = {{0}, {1}, {4}};
-    entry.cycles = 9.0;
-    cache.insert("good", entry);
-    auto doc = cache.toJson();
-    // A structurally broken sibling entry: mapping is a string.
-    auto bad = Json::parse(R"({"intrinsic":"x","mapping":"?"})");
-    doc.set("bad", std::move(bad));
-
-    auto loaded = TuningCache::fromJson(doc);
-    EXPECT_EQ(loaded.size(), 1u);
-    EXPECT_TRUE(loaded.contains("good"));
-    EXPECT_FALSE(loaded.contains("bad"));
-    EXPECT_DOUBLE_EQ(loaded.lookup("good").cycles, 9.0);
+    TieredCache loaded(cliOptions(dir));
+    EXPECT_EQ(loaded.warm(), 1u);
+    auto round = loaded.get("k1");
+    ASSERT_TRUE(round.has_value());
+    EXPECT_EQ(round->intrinsicName, "wmma_16x16x16");
+    EXPECT_EQ(round->mapping.groups, entry.mapping.groups);
+    EXPECT_EQ(round->schedule.toString(), entry.schedule.toString());
+    EXPECT_DOUBLE_EQ(round->cycles, 12345.0);
+    EXPECT_FALSE(loaded.get("absent").has_value());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TuningCacheTest, LoadFileIfExistsHandlesMissingFile)
 {
-    auto cache =
-        TuningCache::loadFileIfExists("/no/such/amos_cache.json");
-    EXPECT_EQ(cache.size(), 0u);
-
-    // And loads a real file when present.
-    TuningCache source;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    entry.mapping.groups = {{0}, {1}, {4}};
-    source.insert("k", entry);
-    std::string path = "/tmp/amos_cache_ifexists.json";
-    source.saveFile(path);
-    auto loaded = TuningCache::loadFileIfExists(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded.size(), 1u);
+    // A --cache directory that does not exist yet is an empty store,
+    // created on open.
+    auto dir = freshCacheDir("missing");
+    {
+        TieredCache cache(cliOptions(dir));
+        EXPECT_EQ(cache.warm(), 0u);
+        EXPECT_TRUE(std::filesystem::is_directory(dir));
+        cache.put("k", sampleEntry(1.0));
+    }
+    // And an existing one loads.
+    TieredCache loaded(cliOptions(dir));
+    EXPECT_EQ(loaded.warm(), 1u);
+    EXPECT_EQ(loaded.memorySize(), 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CompileWithCache, MissTunesAndPopulates)
@@ -287,12 +197,14 @@ TEST(CompileWithCache, MissTunesAndPopulates)
     TuneOptions options;
     options.generations = 4;
     Compiler compiler(hw::v100(), options);
-    TuningCache cache;
-    auto result = compiler.compileWithCache(conv, cache);
+    auto dir = freshCacheDir("miss");
+    TieredCache cache(cliOptions(dir));
+    auto result = serve::compileWithCache(compiler, conv, cache);
     EXPECT_TRUE(result.tensorized);
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.diskSize(), 1u);
     EXPECT_TRUE(
-        cache.contains(TuningCache::keyFor(conv, hw::v100())));
+        cache.get(TuningCache::keyFor(conv, hw::v100())).has_value());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CompileWithCache, HitReproducesTunedLatency)
@@ -301,9 +213,10 @@ TEST(CompileWithCache, HitReproducesTunedLatency)
     TuneOptions options;
     options.generations = 4;
     Compiler compiler(hw::v100(), options);
-    TuningCache cache;
-    auto miss = compiler.compileWithCache(conv, cache);
-    auto hit = compiler.compileWithCache(conv, cache);
+    auto dir = freshCacheDir("hit");
+    TieredCache cache(cliOptions(dir));
+    auto miss = serve::compileWithCache(compiler, conv, cache);
+    auto hit = serve::compileWithCache(compiler, conv, cache);
     EXPECT_TRUE(hit.tensorized);
     // The cached replay simulates the same (mapping, schedule).
     EXPECT_DOUBLE_EQ(hit.cycles, miss.cycles);
@@ -311,6 +224,7 @@ TEST(CompileWithCache, HitReproducesTunedLatency)
     // The hit performs no tuner measurements.
     EXPECT_EQ(hit.measurements, 0);
     EXPECT_GT(miss.measurements, 0);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CompileWithCache, SurvivesSerialisationCycle)
@@ -319,40 +233,28 @@ TEST(CompileWithCache, SurvivesSerialisationCycle)
     TuneOptions options;
     options.generations = 4;
     Compiler compiler(hw::v100(), options);
-    TuningCache cache;
-    auto first = compiler.compileWithCache(conv, cache);
-
-    std::string path = "/tmp/amos_cache_cycle.json";
-    cache.saveFile(path);
-    auto restored = TuningCache::loadFile(path);
-    std::remove(path.c_str());
-
-    auto replay = compiler.compileWithCache(conv, restored);
+    auto dir = freshCacheDir("cycle");
+    CompileResult first;
+    {
+        TieredCache cache(cliOptions(dir));
+        first = serve::compileWithCache(compiler, conv, cache);
+    }
+    TieredCache restored(cliOptions(dir));
+    EXPECT_EQ(restored.warm(), 1u);
+    auto replay = serve::compileWithCache(compiler, conv, restored);
+    EXPECT_EQ(replay.measurements, 0);
     EXPECT_DOUBLE_EQ(replay.cycles, first.cycles);
-}
-
-TEST(TuningCacheTest, TryGetCopiesUnderLock)
-{
-    TuningCache cache;
-    EXPECT_FALSE(cache.tryGet("absent").has_value());
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    entry.mapping.groups = {{0}, {1}, {4}};
-    entry.cycles = 7.0;
-    cache.insert("k", entry);
-    auto got = cache.tryGet("k");
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->intrinsicName, "wmma_16x16x16");
-    EXPECT_DOUBLE_EQ(got->cycles, 7.0);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TuningCacheTest, ConcurrentInsertLookupSameKey)
 {
-    // 8 threads hammer the same key with insert + tryGet; every read
-    // must observe one of the written entries in full (intrinsic
-    // name, mapping, and cycles from the same writer), never a torn
-    // mix. Run under TSan in CI.
-    TuningCache cache;
+    // 8 threads hammer the same key with put + get; every read must
+    // observe one of the written entries in full (intrinsic name,
+    // mapping, and cycles from the same writer), never a torn mix.
+    // Run under TSan in CI.
+    auto dir = freshCacheDir("samekey");
+    TieredCache cache(cliOptions(dir));
     const int threads = 8, iters = 400;
     std::atomic<bool> corrupt{false};
     std::vector<std::thread> workers;
@@ -365,8 +267,8 @@ TEST(TuningCacheTest, ConcurrentInsertLookupSameKey)
                     {static_cast<std::size_t>(t)}};
                 entry.schedule.stageDepth = t + 1;
                 entry.cycles = static_cast<double>(t);
-                cache.insert("shared", std::move(entry));
-                auto got = cache.tryGet("shared");
+                cache.put("shared", entry);
+                auto got = cache.get("shared");
                 if (!got) {
                     corrupt = true;
                     continue;
@@ -383,108 +285,85 @@ TEST(TuningCacheTest, ConcurrentInsertLookupSameKey)
                     got->schedule.stageDepth != writer + 1)
                     corrupt = true;
                 // Distinct keys must coexist untouched.
-                cache.insert("own_" + std::to_string(t),
-                             std::move(*got));
+                cache.put("own_" + std::to_string(t), *got);
             }
         });
     }
     for (auto &w : workers)
         w.join();
     EXPECT_FALSE(corrupt.load());
-    EXPECT_EQ(cache.size(), 1u + threads);
+    EXPECT_EQ(cache.diskSize(), 1u + threads);
 
-    // Round-trip the hammered cache through disk: no corruption.
-    std::string path = "/tmp/amos_cache_concurrent.json";
-    cache.saveFile(path);
-    auto loaded = TuningCache::loadFile(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded.size(), cache.size());
-    auto shared = loaded.tryGet("shared");
+    // The hammered log reopens whole: no record was torn.
+    TieredCache loaded(cliOptions(dir));
+    EXPECT_EQ(loaded.warm(), 1u + threads);
+    EXPECT_EQ(counterValue(loaded, "cache.disk_records_dropped"), 0u);
+    auto shared = loaded.get("shared");
     ASSERT_TRUE(shared.has_value());
     int writer = static_cast<int>(shared->cycles);
     EXPECT_EQ(shared->intrinsicName,
               "intr_" + std::to_string(writer));
     EXPECT_EQ(shared->schedule.stageDepth, writer + 1);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TuningCacheTest, HitMissInsertCountersTrackProbes)
 {
-    TuningCache cache;
-    EXPECT_EQ(cache.hitCount(), 0u);
-    EXPECT_EQ(cache.missCount(), 0u);
-    EXPECT_EQ(cache.insertCount(), 0u);
+    // The store's registry counters (cache.*, also in Prometheus)
+    // count every probe and put.
+    auto dir = freshCacheDir("counters");
+    TieredCache cache(cliOptions(dir));
+    EXPECT_EQ(counterValue(cache, "cache.memory_hits"), 0u);
+    EXPECT_EQ(counterValue(cache, "cache.misses"), 0u);
+    EXPECT_EQ(counterValue(cache, "cache.puts"), 0u);
 
-    EXPECT_FALSE(cache.contains("k"));
-    EXPECT_FALSE(cache.tryGet("k").has_value());
-    EXPECT_EQ(cache.missCount(), 2u);
-    EXPECT_EQ(cache.hitCount(), 0u);
+    EXPECT_FALSE(cache.get("k").has_value());
+    EXPECT_FALSE(cache.get("k").has_value());
+    EXPECT_EQ(counterValue(cache, "cache.misses"), 2u);
 
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    entry.mapping.groups = {{0}, {1}, {4}};
-    cache.insert("k", entry);
-    cache.insert("k", entry); // same-key rewrite still counts
-    EXPECT_EQ(cache.insertCount(), 2u);
+    cache.put("k", sampleEntry(1.0));
+    cache.put("k", sampleEntry(1.0)); // same-key rewrite still counts
+    EXPECT_EQ(counterValue(cache, "cache.puts"), 2u);
 
-    EXPECT_TRUE(cache.contains("k"));
-    EXPECT_TRUE(cache.tryGet("k").has_value());
-    (void)cache.lookup("k");
-    EXPECT_EQ(cache.hitCount(), 3u);
-    EXPECT_EQ(cache.missCount(), 2u);
-}
+    EXPECT_TRUE(cache.get("k").has_value());
+    EXPECT_TRUE(cache.get("k").has_value());
+    EXPECT_EQ(counterValue(cache, "cache.memory_hits"), 2u);
+    EXPECT_EQ(counterValue(cache, "cache.misses"), 2u);
 
-TEST(TuningCacheTest, CountersSurviveCopyAndMove)
-{
-    // Copies inherit the source's counter values (the statistics
-    // describe the cached *content*'s history, not the object), and
-    // then diverge independently.
-    TuningCache cache;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    cache.insert("k", entry);
-    (void)cache.tryGet("k");
-    (void)cache.tryGet("absent");
-
-    TuningCache copied(cache);
-    EXPECT_EQ(copied.hitCount(), 1u);
-    EXPECT_EQ(copied.missCount(), 1u);
-    EXPECT_EQ(copied.insertCount(), 1u);
-    (void)copied.tryGet("k");
-    EXPECT_EQ(copied.hitCount(), 2u);
-    EXPECT_EQ(cache.hitCount(), 1u); // the source is untouched
-
-    TuningCache moved(std::move(copied));
-    EXPECT_EQ(moved.hitCount(), 2u);
-    EXPECT_EQ(moved.missCount(), 1u);
-    EXPECT_EQ(moved.insertCount(), 1u);
+    // A fresh process's store answers from disk until promoted.
+    TieredCache reopened(cliOptions(dir));
+    EXPECT_TRUE(reopened.get("k").has_value());
+    EXPECT_TRUE(reopened.get("k").has_value());
+    EXPECT_EQ(counterValue(reopened, "cache.disk_hits"), 1u);
+    EXPECT_EQ(counterValue(reopened, "cache.memory_hits"), 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TuningCacheTest, CountersAreExactUnderContention)
 {
-    // N threads probing disjoint keys: totals must be exact, not
-    // approximately right. Run under TSan in CI.
-    TuningCache cache;
-    CacheEntry entry;
-    entry.intrinsicName = "wmma_16x16x16";
-    cache.insert("present", entry);
+    // N threads probing one present and one absent key: totals must
+    // be exact, not approximately right. Run under TSan in CI.
+    auto dir = freshCacheDir("contention");
+    TieredCache cache(cliOptions(dir));
+    cache.put("present", sampleEntry(1.0));
 
     const int threads = 8, iters = 250;
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
         workers.emplace_back([&cache] {
             for (int i = 0; i < iters; ++i) {
-                (void)cache.tryGet("present");
-                (void)cache.tryGet("absent");
+                (void)cache.get("present");
+                (void)cache.get("absent");
             }
         });
     }
     for (auto &w : workers)
         w.join();
-    EXPECT_EQ(cache.hitCount(),
-              static_cast<std::uint64_t>(threads) * iters);
-    EXPECT_EQ(cache.missCount(),
-              static_cast<std::uint64_t>(threads) * iters);
-    EXPECT_EQ(cache.insertCount(), 1u);
+    const auto probes = static_cast<std::uint64_t>(threads) * iters;
+    EXPECT_EQ(counterValue(cache, "cache.memory_hits"), probes);
+    EXPECT_EQ(counterValue(cache, "cache.misses"), probes);
+    EXPECT_EQ(counterValue(cache, "cache.puts"), 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CompileWithCache, ConcurrentCompilersShareOneCache)
@@ -497,13 +376,14 @@ TEST(CompileWithCache, ConcurrentCompilersShareOneCache)
     options.generations = 2;
     options.numThreads = 1; // threads come from the outer fan-out
     Compiler compiler(hw::v100(), options);
-    TuningCache cache;
+    auto dir = freshCacheDir("threads");
+    TieredCache cache(cliOptions(dir));
     const int threads = 4;
     std::vector<CompileResult> results(threads);
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t)
         workers.emplace_back([&, t] {
-            results[t] = compiler.compileWithCache(conv, cache);
+            results[t] = serve::compileWithCache(compiler, conv, cache);
         });
     for (auto &w : workers)
         w.join();
@@ -511,7 +391,57 @@ TEST(CompileWithCache, ConcurrentCompilersShareOneCache)
         EXPECT_TRUE(result.tensorized);
         EXPECT_GT(result.cycles, 0.0);
     }
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.diskSize(), 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CompileWithCache, ConcurrentProcessesKeepEveryEntry)
+{
+    // Eight amos_cli --cache runs at once, one gemm shape each: every
+    // process opens its own store on one directory, compiles, and
+    // puts. No process's entry may be lost to another's write.
+    auto dir = freshCacheDir("processes");
+    const int kProcesses = 8;
+    auto gemm = [](int p) { return ops::makeGemm(64 + 16 * p, 64, 64); };
+    // All children start on one signal, so their compiles overlap.
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
+    std::vector<pid_t> children;
+    for (int p = 0; p < kProcesses; ++p) {
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::close(gate[1]);
+            char byte;
+            while (::read(gate[0], &byte, 1) < 0 && errno == EINTR) {
+            }
+            TuneOptions options;
+            options.generations = 2;
+            options.numThreads = 1; // no pool threads in a forked child
+            TieredCache cache(cliOptions(dir));
+            cache.warm();
+            auto result = serve::compileWithCache(
+                Compiler(hw::v100(), options), gemm(p), cache);
+            ::_exit(result.tensorized ? 0 : 1);
+        }
+        children.push_back(pid);
+    }
+    ::close(gate[0]);
+    ::close(gate[1]);
+    for (pid_t pid : children) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+
+    TieredCache store(cliOptions(dir));
+    EXPECT_EQ(store.warm(), static_cast<std::size_t>(kProcesses));
+    for (int p = 0; p < kProcesses; ++p)
+        EXPECT_TRUE(
+            store.get(TuningCache::keyFor(gemm(p), hw::v100()))
+                .has_value())
+            << p;
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

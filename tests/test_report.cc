@@ -20,6 +20,7 @@
 #include "ops/operators.hh"
 #include "report/explain.hh"
 #include "report/prometheus.hh"
+#include "serve/tiered_cache.hh"
 #include "support/histogram.hh"
 #include "support/metrics.hh"
 
@@ -334,10 +335,10 @@ TEST(ExplainReport, CacheReplayCarriesAWinner)
     auto hw = hw::v100();
     auto comp = ops::makeGemm(64, 64, 64);
     Compiler compiler(hw, fastTuning());
-    TuningCache cache;
-    auto first = compiler.compileWithCache(comp, cache);
+    serve::TieredCache cache(serve::TieredCache::Options{});
+    auto first = serve::compileWithCache(compiler, comp, cache);
     ASSERT_TRUE(first.tensorized);
-    auto replay = compiler.compileWithCache(comp, cache);
+    auto replay = serve::compileWithCache(compiler, comp, cache);
     ASSERT_TRUE(replay.tensorized);
     ASSERT_TRUE(replay.tuning.bestPlan.has_value());
 

@@ -2,11 +2,12 @@
  * @file
  * Tests for the compilation service: protocol round-trips, cache
  * tiering (memory hit, disk hit, restart warm-up; the disk log's
- * torn tail, corrupt record, crash inside compaction and two-process
- * appends, injected by fork and a rename(2) interposer), in-flight
- * coalescing under a concurrent-client hammer, deadline and
- * queue-full error paths, graceful drain, and the NDJSON server
- * loop. The hammer and drain tests run under TSan in CI.
+ * torn tail, corrupt record, crash inside compaction, the sweep of
+ * its orphaned temp and two-process appends, injected by fork and a
+ * rename(2) interposer), in-flight coalescing under a
+ * concurrent-client hammer, deadline and queue-full error paths,
+ * graceful drain, and the NDJSON server loop. The hammer and drain
+ * tests run under TSan in CI.
  */
 
 #include <gtest/gtest.h>
@@ -515,6 +516,17 @@ counterValue(TieredCache &cache, const std::string &name)
     return cache.metrics().counter(name).value();
 }
 
+/** Compaction temp files (`*.tmp.*`) in `dir`. */
+std::size_t
+tempFiles(const std::string &dir)
+{
+    std::size_t temps = 0;
+    for (const auto &file : std::filesystem::directory_iterator(dir))
+        temps += file.path().filename().string().find(".tmp.") !=
+                 std::string::npos;
+    return temps;
+}
+
 /** Exit status of a forked child, -1 when it did not exit. */
 int
 waitChild(pid_t pid)
@@ -618,22 +630,44 @@ TEST(TieredCacheTest, CrashDuringCompactionKeepsTheOldLog)
     ASSERT_EQ(waitChild(child), kCrashedInRename);
 
     // The compacted copy was written and never installed.
-    std::size_t temps = 0;
-    for (const auto &file : std::filesystem::directory_iterator(dir))
-        temps += file.path().filename().string().find(".tmp.") !=
-                 std::string::npos;
-    EXPECT_EQ(temps, 1u);
+    EXPECT_EQ(tempFiles(dir), 1u);
     const std::string after = readWholeFile(log);
     ASSERT_GT(after.size(), before.size());
     EXPECT_EQ(after.substr(0, before.size()), before);
     EXPECT_EQ(logLines(log).size(), 21u);
 
+    // Its writer is gone, so the reopen removes the orphaned temp.
     TieredCache cache(oneShardOptions(dir));
+    EXPECT_EQ(tempFiles(dir), 0u);
+    EXPECT_EQ(counterValue(cache, "cache.orphan_temps_removed"), 1u);
     EXPECT_EQ(cache.diskSize(), 10u);
     EXPECT_EQ(diskCycles(cache, "k0"), 111.0);
     for (int i = 1; i < 10; ++i)
         EXPECT_EQ(diskCycles(cache, "k" + std::to_string(i)),
                   static_cast<double>(i));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TieredCacheTest, OpenKeepsTheCompactionTempOfALiveProcess)
+{
+    auto dir = freshDiskDir("orphans");
+    pid_t dead = ::fork();
+    ASSERT_GE(dead, 0);
+    if (dead == 0)
+        ::_exit(0);
+    ASSERT_EQ(waitChild(dead), 0);
+    const std::string live = dir + "/shard-0.ndjson.tmp." +
+                             std::to_string(::getpid()) + ".0";
+    const std::string orphan =
+        dir + "/shard-1.ndjson.tmp." + std::to_string(dead) + ".3";
+    std::ofstream(live) << "mid-compaction";
+    std::ofstream(orphan) << "abandoned";
+
+    TieredCache cache(oneShardOptions(dir));
+    EXPECT_TRUE(std::filesystem::exists(live));
+    EXPECT_FALSE(std::filesystem::exists(orphan));
+    EXPECT_EQ(tempFiles(dir), 1u);
+    EXPECT_EQ(counterValue(cache, "cache.orphan_temps_removed"), 1u);
     std::filesystem::remove_all(dir);
 }
 

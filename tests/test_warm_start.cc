@@ -22,6 +22,7 @@
 #include "mapping/generate.hh"
 #include "ops/operators.hh"
 #include "schedule/schedule.hh"
+#include "serve/tiered_cache.hh"
 #include "support/rng.hh"
 
 namespace amos {
@@ -477,7 +478,7 @@ TEST(Tuner, PatienceBoundsTheGenerationCount)
 TEST(Compiler, CompileWithCacheSeedsFromNeighbors)
 {
     auto hw = hw::v100();
-    TuningCache cache;
+    serve::TieredCache cache(serve::TieredCache::Options{});
     TuneOptions options;
     options.generations = 3;
     options.warmStart.mode = WarmStartMode::Neighbors;
@@ -485,21 +486,22 @@ TEST(Compiler, CompileWithCacheSeedsFromNeighbors)
 
     // First compile: empty cache, no donors, still succeeds.
     auto first =
-        compiler.compileWithCache(ops::makeGemm(64, 64, 64), cache);
+        serve::compileWithCache(compiler, ops::makeGemm(64, 64, 64),
+                                cache);
     ASSERT_TRUE(first.tensorized);
     EXPECT_EQ(first.tuning.warmStartNeighbors, 0);
 
     // Second compile, new shape in the same family: the cached
     // winner becomes a donor.
-    auto second =
-        compiler.compileWithCache(ops::makeGemm(96, 64, 64), cache);
+    auto second = serve::compileWithCache(
+        compiler, ops::makeGemm(96, 64, 64), cache);
     ASSERT_TRUE(second.tensorized);
     EXPECT_EQ(second.tuning.warmStartNeighbors, 1);
     EXPECT_GT(second.tuning.warmStartSeeded, 0);
 
     // Replay of the second shape hits the cache without a search.
-    auto replay =
-        compiler.compileWithCache(ops::makeGemm(96, 64, 64), cache);
+    auto replay = serve::compileWithCache(
+        compiler, ops::makeGemm(96, 64, 64), cache);
     EXPECT_EQ(replay.measurements, 0);
     EXPECT_DOUBLE_EQ(replay.cycles, second.cycles);
 }
