@@ -197,6 +197,7 @@ void
 LearnedModel::saveFile(const std::string &path) const
 {
     writeFileAtomic(path, toJson().dump() + "\n");
+    removeOrphanTemps(path);
 }
 
 std::optional<LearnedModel>

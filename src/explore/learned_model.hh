@@ -83,7 +83,11 @@ class LearnedModel
      */
     static std::optional<LearnedModel> fromJson(const Json &json);
 
-    /** Atomically save a snapshot file (writeFileAtomic). */
+    /**
+     * Atomically save a snapshot file (writeFileAtomic), then remove
+     * the temps of `path` that writers which died mid-save left
+     * behind (removeOrphanTemps).
+     */
     void saveFile(const std::string &path) const;
 
     /**

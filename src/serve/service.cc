@@ -517,9 +517,9 @@ CompileService::runJob(std::shared_ptr<Job> job)
     _queueWait.record(queue_wait);
     outcome.queueWaitMs = queue_wait;
     // The request scope, re-installed on this worker: every span the
-    // exploration records here (and, through parallelFor, on the
-    // tuner's worker threads) lands under the originating request's
-    // sequence, and every stderr line it logs carries its trace id.
+    // exploration records here (its parallelFor loops run inline on
+    // this worker) lands under the originating request's sequence,
+    // and every stderr line it logs carries its trace id.
     FlightScope flight_scope(job->flightSeq, trace_id);
     AMOS_LOG(Debug) << "compile start key=" << job->key;
     {

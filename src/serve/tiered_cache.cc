@@ -1,7 +1,6 @@
 #include "tiered_cache.hh"
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -106,42 +105,6 @@ lockFile(int fd, int op)
     }
 }
 
-/**
- * Remove the compaction temps in `dir` (writeFileAtomic's
- * `shard-N.ndjson.tmp.<pid>.<n>`) whose writer no longer exists; a
- * live writer's temp may be mid-compaction and is kept. Returns the
- * number removed. Pids are read in this process's pid namespace; a
- * live temp removed by a process in another namespace only fails
- * that compaction's rename, which leaves the old log in place.
- */
-std::size_t
-removeOrphanTemps(const std::string &dir)
-{
-    constexpr std::string_view kTemp = ".ndjson.tmp.";
-    std::size_t removed = 0;
-    std::error_code ec;
-    for (std::filesystem::directory_iterator it(dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-        const std::string name = it->path().filename().string();
-        const std::size_t at = name.find(kTemp);
-        if (name.rfind("shard-", 0) != 0 || at == std::string::npos)
-            continue;
-        const char *first = name.data() + at + kTemp.size();
-        const char *last = name.data() + name.size();
-        pid_t pid = 0;
-        auto parsed = std::from_chars(first, last, pid);
-        if (parsed.ec != std::errc() || parsed.ptr == last ||
-            *parsed.ptr != '.' || pid <= 0)
-            continue;
-        if (::kill(pid, 0) == 0 || errno != ESRCH)
-            continue;
-        std::error_code removeError;
-        if (std::filesystem::remove(it->path(), removeError))
-            ++removed;
-    }
-    return removed;
-}
-
 } // namespace
 
 void
@@ -176,7 +139,7 @@ TieredCache::TieredCache(Options options, MetricsRegistry *registry)
     if (hasDisk()) {
         std::filesystem::create_directories(_options.diskDir);
         _metrics->counter("cache.orphan_temps_removed")
-            .add(removeOrphanTemps(_options.diskDir));
+            .add(removeOrphanTemps(_options.diskDir + "/shard-"));
         for (std::size_t s = 0; s < _options.diskShards; ++s) {
             _shards.push_back(std::make_unique<Shard>());
             _shards.back()->path = _options.diskDir + "/shard-" +

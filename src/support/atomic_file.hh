@@ -12,6 +12,7 @@
 #ifndef AMOS_SUPPORT_ATOMIC_FILE_HH
 #define AMOS_SUPPORT_ATOMIC_FILE_HH
 
+#include <cstddef>
 #include <string>
 
 namespace amos {
@@ -23,6 +24,19 @@ namespace amos {
  * or renamed; the temp file is removed on failure.
  */
 void writeFileAtomic(const std::string &path, const std::string &content);
+
+/**
+ * Remove the temps that writeFileAtomic left behind when its process
+ * died between the write and the rename: the files
+ * `<path>.tmp.<pid>.<n>` whose `<path>` starts with `pathPrefix` (a
+ * document's path, or a directory plus the start of a file name) and
+ * whose pid names no live process. A live writer's temp may be about
+ * to be renamed and is kept. Returns the number removed. Pids are
+ * read in this process's pid namespace; a live temp removed by a
+ * process in another namespace only fails that writer's rename,
+ * which leaves the old document in place.
+ */
+std::size_t removeOrphanTemps(const std::string &pathPrefix);
 
 } // namespace amos
 

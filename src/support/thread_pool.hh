@@ -1,12 +1,18 @@
 /**
  * @file
- * Fixed-size thread pool and a parallel-for helper.
+ * Fixed-size thread pool and a fork-join parallel-for.
  *
- * The tuner fans candidate evaluation and simulator measurements out
- * across worker threads. The pool is deliberately simple — a shared
- * task queue behind one mutex, no work stealing — because the units
- * of work (kernel lowering + simulation, ~10-100us each) are large
- * enough that queue contention is negligible.
+ * ThreadPool is a shared task queue behind one mutex, no work
+ * stealing: CompileService runs whole requests on it, and those units
+ * (a full exploration) dwarf any queue contention.
+ *
+ * parallelFor() does not use a ThreadPool. It forks onto a process-wide
+ * team of helper threads, one bound to each CPU of the process's
+ * affinity mask, created on the first call that forks. A region wakes
+ * at most numThreads - 1 helpers, only ones bound to a CPU other than
+ * the caller's, and the caller drives indices too. A helper spins
+ * briefly after a region and then parks, so back-to-back regions find
+ * it awake on its own core. See docs/execution.md.
  *
  * Determinism contract: parallelFor() only distributes loop
  * *indices*; it makes no ordering promises between bodies. Callers
@@ -17,7 +23,7 @@
  *
  * Observability: parallelFor propagates the caller's FlightScope
  * (request sequence number and trace label, see support/trace.hh)
- * onto every worker it borrows, so spans and log lines inside bodies
+ * onto every helper it borrows, so spans and log lines inside bodies
  * stay attributed to the request that forked them.
  */
 
@@ -58,12 +64,6 @@ class ThreadPool
      */
     std::future<void> submit(std::function<void()> task);
 
-    /**
-     * The process-wide pool used by parallelFor(), created lazily
-     * with one worker per hardware thread.
-     */
-    static ThreadPool &global();
-
     /** Map a user thread-count knob: <=0 = hardware concurrency. */
     static std::size_t resolveThreads(int requested);
 
@@ -78,18 +78,21 @@ class ThreadPool
 };
 
 /**
- * True on threads currently executing inside a parallelFor body (or
- * on pool workers). Nested parallelFor calls detect this and run
- * inline, which keeps arbitrary nesting deadlock-free.
+ * True on threads currently executing inside a parallelFor body, on
+ * pool workers and on parallelFor's helpers. Nested parallelFor calls
+ * detect this and run inline, which keeps arbitrary nesting
+ * deadlock-free.
  */
 bool insideParallelRegion();
 
 /**
- * Run body(0..n-1) across up to numThreads workers (0 = hardware
- * concurrency, 1 = plain serial loop). The calling thread
- * participates, so progress never depends on pool availability.
- * Blocks until every index completed; the first exception thrown by
- * any body is rethrown after the loop drains.
+ * Run body(0..n-1) on up to numThreads threads (0 = hardware
+ * concurrency, 1 = plain serial loop): the caller plus the free
+ * helpers on other CPUs. The caller participates, so progress never
+ * depends on helpers: a concurrent caller that finds none free, or a
+ * fork()ed child of the team's process, runs the loop itself. Blocks
+ * until every index completed; the first exception thrown by any
+ * body is rethrown after the loop drains. Allocates nothing per call.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &body,

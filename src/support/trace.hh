@@ -9,7 +9,7 @@
  *
  *  - Spans under a request scope. A FlightScope installs a request
  *    sequence number (and optionally a trace label) on the thread;
- *    parallelFor propagates it onto every worker it borrows. The
+ *    parallelFor propagates it onto every helper it borrows. The
  *    serve layer opens one scope per request and harvests the
  *    request's records afterwards: into the response of a trace_id
  *    request (traceTreeFor) and into the postmortem of a slow or
@@ -260,7 +260,7 @@ class FlightRecorder
 
 /**
  * RAII request scope: while alive, spans closing on this thread
- * (and on parallelFor workers the thread fans out to) are recorded
+ * (and on parallelFor helpers the thread fans out to) are recorded
  * under the given sequence number, and log lines carry the label as
  * `[trace=<label>]`. The label is not copied: it must outlive the
  * scope. Scopes nest; the innermost wins. Sequence number 0 records

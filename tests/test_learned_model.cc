@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -205,6 +206,33 @@ TEST(Snapshot, SaveAndLoadFileRoundTrip)
     std::remove(path.c_str());
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->digest(), model.digest());
+}
+
+TEST(Snapshot, SaveRemovesTheOrphanedTempsOfItsPath)
+{
+    // A saver killed between its temp write and its rename leaves
+    // `<path>.tmp.<pid>.<n>`; the next save of the path removes it.
+    auto model = trainedModel(60, 22);
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("amos_model_dir_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    pid_t dead = ::fork();
+    ASSERT_GE(dead, 0);
+    if (dead == 0)
+        ::_exit(0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(dead, &status, 0), dead);
+    const auto orphan =
+        dir / ("model.json.tmp." + std::to_string(dead) + ".7");
+    std::ofstream(orphan) << "{\"truncated";
+
+    model.saveFile((dir / "model.json").string());
+    EXPECT_FALSE(std::filesystem::exists(orphan));
+    auto loaded = LearnedModel::loadFile((dir / "model.json").string());
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->digest(), model.digest());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Snapshot, ConcurrentSaversOfOnePathNeverCollide)

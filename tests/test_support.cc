@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -204,6 +205,48 @@ TEST(AtomicFile, ReplacesContentWholesale)
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(text, "second\n");
     std::remove(path.c_str());
+}
+
+/** The pid of a child that has exited and been reaped. */
+pid_t
+reapedPid()
+{
+    pid_t child = ::fork();
+    if (child == 0)
+        ::_exit(0);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+    return child;
+}
+
+TEST(AtomicFile, RemoveOrphanTempsKeepsALiveWritersTemp)
+{
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("amos_orphans_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const pid_t dead = reapedPid();
+    ASSERT_GT(dead, 0);
+    const std::string live = std::to_string(::getpid());
+    const auto make = [&](const std::string &name) {
+        std::ofstream(dir / name) << "x";
+        return dir / name;
+    };
+    const auto orphan = make("doc.json.tmp." + std::to_string(dead) + ".3");
+    const auto alive = make("doc.json.tmp." + live + ".0");
+    const auto otherStem =
+        make("other.json.tmp." + std::to_string(dead) + ".0");
+    const auto notATemp = make("doc.json.tmp." + live + ".x");
+    const auto target = make("doc.json");
+
+    EXPECT_EQ(removeOrphanTemps((dir / "doc.json").string()), 1u);
+    EXPECT_FALSE(std::filesystem::exists(orphan));
+    EXPECT_TRUE(std::filesystem::exists(alive));
+    EXPECT_TRUE(std::filesystem::exists(otherStem));
+    EXPECT_TRUE(std::filesystem::exists(notATemp));
+    EXPECT_TRUE(std::filesystem::exists(target));
+    EXPECT_EQ(removeOrphanTemps((dir / "doc.json").string()), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(AtomicFile, UnwritableDirectoryIsAFatalError)

@@ -1,15 +1,23 @@
 /**
  * @file
  * Unit tests for the thread pool and parallelFor: task completion,
- * exception propagation, full index coverage, nesting, and the
- * determinism of per-index RNG streams under concurrency.
+ * exception propagation, full index coverage, nesting, the
+ * determinism of per-index RNG streams under concurrency, and the
+ * fork-join team: two indices on two threads at once, concurrent
+ * callers, and a fork()ed child that has no helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "support/logging.hh"
@@ -149,6 +157,118 @@ TEST(ParallelFor, PerIndexRngStreamsAreOrderIndependent)
         },
         8);
     EXPECT_EQ(serial, parallel);
+}
+
+int
+cpusAvailable()
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof(mask), &mask) != 0)
+        return 1;
+    return CPU_COUNT(&mask);
+}
+
+TEST(ParallelFor, TwoIndicesRunOnTwoThreadsAtOnce)
+{
+    if (cpusAvailable() < 2)
+        GTEST_SKIP() << "one CPU: a region has no helper to fork onto";
+    // Each body waits, at most 2 s, for the other to arrive, so a
+    // round passes only when both indices run at the same time. Both
+    // then note their CPU: two threads time-sharing the caller's CPU
+    // would meet too, but only a helper on another CPU runs beside
+    // the caller. A migration may put the two on one CPU now and
+    // then, so most rounds, not all, must see two CPUs.
+    const int rounds = 20;
+    int twoCpus = 0;
+    for (int round = 0; round < rounds; ++round) {
+        std::atomic<int> arrived{0}, noted{0};
+        int cpu[2] = {-1, -1};
+        auto waitFor = [](std::atomic<int> &count) {
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(2);
+            while (count.load() < 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            return count.load() == 2;
+        };
+        std::atomic<int> met{0};
+        parallelFor(
+            2,
+            [&](std::size_t i) {
+                arrived.fetch_add(1);
+                if (!waitFor(arrived))
+                    return;
+                cpu[i] = ::sched_getcpu();
+                noted.fetch_add(1);
+                if (waitFor(noted))
+                    met.fetch_add(1);
+            },
+            2);
+        ASSERT_EQ(met.load(), 2) << "round " << round;
+        twoCpus += cpu[0] != cpu[1];
+    }
+    EXPECT_GT(twoCpus, rounds / 2);
+}
+
+TEST(ParallelFor, ForkedChildCompletes)
+{
+    // Create the team in this process first: the child inherits it
+    // without its helper threads and must not wait on them.
+    std::atomic<int> parentHits{0};
+    parallelFor(8, [&](std::size_t) { ++parentHits; }, 4);
+    ASSERT_EQ(parentHits.load(), 8);
+
+    pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        std::vector<std::atomic<int>> hits(8);
+        for (auto &h : hits)
+            h.store(0);
+        parallelFor(8, [&](std::size_t i) { ++hits[i]; }, 4);
+        int wrong = 0;
+        for (auto &h : hits)
+            wrong += h.load() != 1;
+        ::_exit(wrong == 0 ? 0 : 1);
+    }
+    int status = 0;
+    pid_t done = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while ((done = ::waitpid(child, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (done == 0) {
+        ::kill(child, SIGKILL);
+        ::waitpid(child, &status, 0);
+        FAIL() << "forked child hung in parallelFor";
+    }
+    ASSERT_EQ(done, child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ParallelFor, ConcurrentCallersAllComplete)
+{
+    const std::size_t callers = 8, rounds = 50, n = 64;
+    std::vector<std::atomic<int>> hits(callers * rounds * n);
+    for (auto &h : hits)
+        h.store(0);
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < callers; ++c)
+        threads.emplace_back([&, c] {
+            for (std::size_t r = 0; r < rounds; ++r)
+                parallelFor(
+                    n,
+                    [&](std::size_t i) {
+                        ++hits[(c * rounds + r) * n + i];
+                    },
+                    4);
+        });
+    for (auto &t : threads)
+        t.join();
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(MixSeed, DistinctStreamsAndSteps)
