@@ -5,7 +5,9 @@
  * Compile an operator for a modelled accelerator, optionally through
  * a persistent tuning cache (--cache DIR: the same shard-log store
  * as amos_served --cache-dir, docs/serving.md), list its valid
- * mappings, or emit the generated C kernel.
+ * mappings, or emit the tuned plan's C kernel (--emit-c: the typed
+ * packed kernel the JIT tier runs for it; exit 1 naming the reason
+ * when the plan does not lower).
  *
  * Examples:
  *   amos_cli --op conv2d --batch 16 --cin 128 --cout 128 \
@@ -66,7 +68,7 @@
 #include <optional>
 
 #include "amos/amos.hh"
-#include "codegen/codegen.hh"
+#include "codegen/exec_c.hh"
 #include "explore/trace_io.hh"
 #include "mapping/execute.hh"
 #include "mapping/generate.hh"
@@ -367,11 +369,22 @@ runCli(const Args &args)
     if (!emit_path.empty()) {
         expect(result.tensorized && result.tuning.bestPlan,
                "--emit-c requires a tensorized result");
-        CodegenOptions cg;
-        cg.kernelName = "amos_kernel";
-        std::ofstream out(emit_path);
-        out << generateC(*result.tuning.bestPlan,
-                         result.tuning.bestSchedule, cg);
+        // The tuned plan's packed kernel, exactly what the JIT tier
+        // compiles and runs for it.
+        const MappingPlan &plan = *result.tuning.bestPlan;
+        const ExecPlan ep(plan);
+        expect(ep.compiled(), "--emit-c: the tuned plan does not lower: ",
+               ep.fallbackReason());
+        const auto &cc = plan.computation();
+        writeFileOrThrow(
+            emit_path,
+            generatePackedKernelC(
+                ep, cc.name() + " via " + plan.intrinsic().name() +
+                        "\nmapping:  " + plan.mapping().signature(cc) +
+                        "\ncompute:  " + plan.computeMappingString() +
+                        "\nschedule: " +
+                        result.tuning.bestSchedule.toString()),
+            "--emit-c");
         std::fprintf(stderr, "wrote C kernel to %s\n",
                      emit_path.c_str());
     }

@@ -134,10 +134,17 @@ using NestBody =
     std::function<void(CWriter &, const std::vector<std::string> &)>;
 
 /**
- * Emit a pure affine loop nest (the stride walk's closed form): one
+ * Emit a walk plan's loop nest (the stride walk's closed form): one
  * `for` per level, partial flat addresses hoisted at the level where
  * their stride applies, and the innermost stride left inline so the
- * compiler sees a unit-step induction it can vectorize.
+ * compiler sees a unit-step induction it can vectorize. A clamped
+ * level runs to lim = min(I, F - q * I), so a pure-padding tile runs
+ * no iterations. A carry level reads its digits' address
+ * contribution from a per-tile table: the table is filled once per
+ * quotient value by stepping the digits (the innermost bumps, a wrap
+ * carries into the next and selects the next precomputed delta), and
+ * the tile-start digits advance by I in mixed radix at the end of
+ * each quotient iteration, so no loop divides.
  */
 void
 emitAffineNest(CWriter &w, const AccessWalkPlan &plan,
@@ -164,218 +171,150 @@ emitAffineNest(CWriter &w, const AccessWalkPlan &plan,
     auto loopVar = [&](std::size_t l) {
         return pfx + "i" + std::to_string(l);
     };
-    for (std::size_t l = 0; l + 1 < L; ++l) {
-        const std::string iv = loopVar(l);
-        w.open("for (long " + iv + " = 0; " + iv + " < " +
-               lit(plan.extents[l]) + "; ++" + iv + ")");
-        for (std::size_t m = 0; m < M; ++m) {
-            const std::int64_t s = plan.operands[m].stride[l];
-            if (s == 0)
-                continue;
-            const std::string name = pfx + "a" + std::to_string(m) +
-                                     "_" + std::to_string(l);
-            w.line("const long " + name + " = " + part[m] + " + " +
-                   term(iv, s) + ";");
-            part[m] = name;
-        }
-    }
-
-    const std::size_t last = L - 1;
-    const std::string iv = loopVar(last);
-    w.open("for (long " + iv + " = 0; " + iv + " < " +
-           lit(plan.extents[last]) + "; ++" + iv + ")");
-    std::vector<std::string> addr(M);
-    for (std::size_t m = 0; m < M; ++m) {
-        const std::int64_t s = plan.operands[m].stride[last];
-        addr[m] = s == 0 ? part[m] : part[m] + " + " + term(iv, s);
-    }
-    body(w, addr);
-    for (std::size_t l = 0; l < L; ++l)
-        w.close();
-}
-
-/**
- * Emit the mapped execution nest of an ExecPlan — the closed form of
- * its mapped sweeps: outer axis loops, per-group tile-start flats
- * and padding clamps, then one counter loop per group whose software
- * digits are decoded from the fused flat value (skipped entirely when
- * the plan's linearity table, Operand::groupAlpha, gives every
- * operand an alpha for the group: the contribution is then
- * alpha * flat and stays linear in the counter). Addresses are pure
- * functions of (axes, counters), so the emitted nest visits exactly
- * the walker's tuples in exactly its order.
- */
-void
-emitMappedNest(CWriter &w, const ExecPlan &plan,
-               const std::vector<const ExecPlan::Operand *> &ops,
-               const std::string &pfx, const NestBody &body)
-{
-    const auto &axes = plan.axes();
-    const auto &groups = plan.groups();
-    const std::size_t A = axes.size();
-    const std::size_t K = groups.size();
-    const std::size_t M = ops.size();
-
-    for (const auto &ax : axes) {
-        if (ax.extent <= 0) {
-            w.line("/* " + pfx + ": empty axis sweep */");
-            return;
-        }
-    }
-
-    auto swCoeff = [&](std::size_t m, std::size_t s) -> std::int64_t {
-        return s < ops[m]->swCoeff.size() ? ops[m]->swCoeff[s] : 0;
+    // Names of carry level l's state: "s" tile-start digit p, "d"
+    // stepping digit p, "c" running contribution of operand p, "o"
+    // the table of operand p.
+    auto carryVar = [&](const char *kind, std::size_t l, std::size_t p) {
+        return pfx + kind + std::to_string(l) + "_" + std::to_string(p);
     };
-    auto tStride = [&](std::size_t m, std::size_t k) -> std::int64_t {
-        return k < ops[m]->tStride.size() ? ops[m]->tStride[k] : 0;
+    // Operands whose address the digits of a carry level move; the
+    // others step by their stride as on a plain level.
+    auto moved = [&](const WalkCarry &c, std::size_t m) {
+        for (auto k : c.coeff[m])
+            if (k != 0)
+                return true;
+        return false;
     };
-    auto outerStride = [&](std::size_t m,
-                           std::size_t a) -> std::int64_t {
-        return a < ops[m]->outerStride.size() ? ops[m]->outerStride[a]
-                                              : 0;
-    };
-
-    std::vector<std::string> part(M);
-    for (std::size_t m = 0; m < M; ++m)
-        part[m] = lit(ops[m]->base);
-
-    // Outer axis loops; unmapped axes feed software coefficients,
-    // every axis feeds packed-tile outer strides.
-    auto axVar = [&](std::size_t a) {
-        return pfx + "x" + std::to_string(a);
-    };
-    for (std::size_t a = 0; a < A; ++a) {
-        const std::string xv = axVar(a);
-        w.open("for (long " + xv + " = 0; " + xv + " < " +
-               lit(axes[a].extent) + "; ++" + xv + ")");
-        for (std::size_t m = 0; m < M; ++m) {
-            std::int64_t c = outerStride(m, a);
-            if (!axes[a].isQuotient)
-                c += swCoeff(m, axes[a].ref);
-            if (c == 0)
-                continue;
-            const std::string name = pfx + "p" + std::to_string(m) +
-                                     "_x" + std::to_string(a);
-            w.line("const long " + name + " = " + part[m] + " + " +
-                   term(xv, c) + ";");
-            part[m] = name;
-        }
-    }
-
-    // Tile-start flats and padding clamps, exactly the walker's
-    // lim_k = min(I_k, F_k - q_k * I_k); a tile with any lim <= 0 is
-    // pure padding and is skipped.
-    std::vector<std::string> fstart(K), limExpr(K);
-    std::vector<std::string> guards;
-    bool deadTile = false;
-    for (std::size_t k = 0; k < K; ++k) {
-        const auto &g = groups[k];
-        int quotAxis = -1;
-        for (std::size_t a = 0; a < A; ++a)
-            if (axes[a].isQuotient && axes[a].ref == k)
-                quotAxis = static_cast<int>(a);
-        if (quotAxis < 0) {
-            fstart[k] = "0L";
-            const std::int64_t limc =
-                std::min(g.intrinsicExtent, g.fusedExtent);
-            limExpr[k] = lit(limc);
-            deadTile = deadTile || limc <= 0;
-            continue;
-        }
-        const std::string fs = pfx + "f" + std::to_string(k) + "s";
-        const std::string lim = pfx + "lim" + std::to_string(k);
-        w.line("const long " + fs + " = " +
-               term(axVar(static_cast<std::size_t>(quotAxis)),
-                    g.intrinsicExtent) +
-               ";");
-        w.line("const long " + lim + " = " + lit(g.fusedExtent) +
-               " - " + fs + " < " + lit(g.intrinsicExtent) + " ? " +
-               lit(g.fusedExtent) + " - " + fs + " : " +
-               lit(g.intrinsicExtent) + ";");
-        fstart[k] = fs;
-        limExpr[k] = lim;
-        guards.push_back(lim + " > 0");
-    }
-    if (deadTile) {
-        w.line("/* " + pfx + ": every tile is pure padding */");
-        for (std::size_t a = 0; a < A; ++a)
-            w.close();
-        return;
-    }
-    bool guarded = !guards.empty();
-    if (guarded) {
-        std::string cond = guards[0];
-        for (std::size_t i = 1; i < guards.size(); ++i)
-            cond += " && " + guards[i];
-        w.open("if (" + cond + ")");
-    }
-
-    // Group counter loops, innermost last — the walker's digit
-    // odometer in closed form.
-    for (std::size_t k = 0; k < K; ++k) {
-        const auto &g = groups[k];
-        const std::string tv = pfx + "t" + std::to_string(k);
-        w.open("for (long " + tv + " = 0; " + tv + " < " +
-               limExpr[k] + "; ++" + tv + ")");
-        const std::string fexpr =
-            fstart[k] == "0L" ? tv : fstart[k] + " + " + tv;
-
-        // First pass: which operands force a digit decode?
-        std::vector<std::optional<std::int64_t>> alpha(M);
-        bool needDecode = false;
-        for (std::size_t m = 0; m < M; ++m) {
-            alpha[m] = ops[m]->groupAlpha[k];
-            needDecode = needDecode || !alpha[m];
-        }
-        auto digitVar = [&](std::size_t pos) {
-            return pfx + "d" + std::to_string(k) + "_" +
-                   std::to_string(pos);
+    auto emitTable = [&](const WalkCarry &c) {
+        const std::size_t l = c.level;
+        const std::size_t n = c.radix.size();
+        const std::string extent = lit(plan.extents[l]);
+        for (std::size_t m = 0; m < M; ++m)
+            if (moved(c, m))
+                w.line("long " + carryVar("o", l, m) + "[" + extent + "];");
+        auto start = [&](std::size_t p) {
+            return c.quotientLevel < 0 ? std::string("0L")
+                                       : carryVar("s", l, p);
         };
-        if (needDecode) {
-            const std::string fv = pfx + "f" + std::to_string(k);
-            w.line("long " + fv + " = " + fexpr + ";");
-            for (std::size_t pos = g.members.size(); pos-- > 0;) {
-                w.line("const long " + digitVar(pos) + " = " + fv +
-                       " % " + lit(g.extents[pos]) + ";");
-                if (pos > 0)
-                    w.line(fv + " /= " + lit(g.extents[pos]) + ";");
-            }
+        for (std::size_t p = 1; p < n; ++p)
+            w.line("long " + carryVar("d", l, p) + " = " + start(p) + ";");
+        for (std::size_t m = 0; m < M; ++m) {
+            if (!moved(c, m))
+                continue;
+            std::string init = "0L";
+            for (std::size_t p = 0; p < n && c.quotientLevel >= 0; ++p)
+                if (c.coeff[m][p] != 0)
+                    init = (init == "0L" ? "" : init + " + ") +
+                           term(start(p), c.coeff[m][p]);
+            w.line("long " + carryVar("c", l, m) + " = " + init + ";");
         }
+        const std::string tv = pfx + "t" + std::to_string(l);
+        w.open("for (long " + tv + " = 0; " + tv + " < " + extent + "; ++" +
+               tv + ")");
+        for (std::size_t m = 0; m < M; ++m)
+            if (moved(c, m))
+                w.line(carryVar("o", l, m) + "[" + tv + "] = " +
+                       carryVar("c", l, m) + ";");
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::size_t p = n - 1 - j;
+            if (p > 0)
+                w.open("if (++" + carryVar("d", l, p) + " < " +
+                       lit(c.radix[p]) + ")");
+            for (std::size_t m = 0; m < M; ++m) {
+                const std::int64_t step =
+                    c.delta[j][m] - plan.operands[m].stride[l];
+                if (moved(c, m) && step != 0)
+                    w.line(carryVar("c", l, m) + " += " + lit(step) + ";");
+            }
+            if (p == 0)
+                break;
+            w.close();
+            w.open("else");
+            w.line(carryVar("d", l, p) + " = 0;");
+        }
+        for (std::size_t j = 1; j < n; ++j)
+            w.close();
+        w.close();
+    };
+
+    for (const auto &c : plan.carries)
+        if (c.quotientLevel < 0)
+            emitTable(c);
+    std::vector<std::string> addr(M);
+    for (std::size_t l = 0; l < L; ++l) {
+        for (const auto &c : plan.carries)
+            if (c.quotientLevel == static_cast<int>(l))
+                for (std::size_t p = 0; p < c.radix.size(); ++p)
+                    w.line("long " + carryVar("s", c.level, p) + " = 0;");
+        std::string bound = lit(plan.extents[l]);
+        for (const auto &c : plan.clamps) {
+            if (c.level != l)
+                continue;
+            const std::string rest =
+                lit(c.limit) + " - " + term(loopVar(c.quotientLevel), c.tile);
+            bound = pfx + "lim" + std::to_string(l);
+            w.line("const long " + bound + " = " + rest + " < " +
+                   lit(plan.extents[l]) + " ? " + rest + " : " +
+                   lit(plan.extents[l]) + ";");
+        }
+        const WalkCarry *carry = plan.carryAt(l);
+        const std::string iv = loopVar(l);
+        w.open("for (long " + iv + " = 0; " + iv + " < " + bound + "; ++" +
+               iv + ")");
         for (std::size_t m = 0; m < M; ++m) {
             std::vector<std::string> terms;
-            if (tStride(m, k) != 0)
-                terms.push_back(term(tv, tStride(m, k)));
-            if (alpha[m]) {
-                if (*alpha[m] != 0)
-                    terms.push_back(term("(" + fexpr + ")",
-                                         *alpha[m]));
-            } else {
-                for (std::size_t pos = 0; pos < g.members.size();
-                     ++pos) {
-                    const std::int64_t c =
-                        swCoeff(m, g.members[pos]);
-                    if (c != 0)
-                        terms.push_back(term(digitVar(pos), c));
-                }
+            if (carry && moved(*carry, m))
+                terms.push_back(carryVar("o", l, m) + "[" + iv + "]");
+            if (const std::int64_t s = plan.operands[m].stride[l]; s != 0)
+                terms.push_back(term(iv, s));
+            if (l + 1 == L) {
+                addr[m] = joinTerms(part[m], terms);
+                continue;
             }
             if (terms.empty())
                 continue;
-            const std::string name = pfx + "p" + std::to_string(m) +
-                                     "_t" + std::to_string(k);
+            const std::string name = pfx + "a" + std::to_string(m) +
+                                     "_" + std::to_string(l);
             w.line("const long " + name + " = " +
                    joinTerms(part[m], terms) + ";");
             part[m] = name;
         }
+        for (const auto &c : plan.carries)
+            if (c.quotientLevel == static_cast<int>(l))
+                emitTable(c);
     }
+    body(w, addr);
 
-    body(w, part);
-
-    for (std::size_t k = 0; k < K; ++k)
+    for (std::size_t l = L; l-- > 0;) {
+        for (const auto &c : plan.carries) {
+            if (c.quotientLevel != static_cast<int>(l))
+                continue;
+            // Next tile: the start digits advance by I, whose
+            // mixed-radix digits are folded in here.
+            const std::size_t n = c.radix.size();
+            std::vector<std::int64_t> add(n);
+            std::int64_t rest = c.tile;
+            for (std::size_t p = n; p-- > 1;) {
+                add[p] = rest % c.radix[p];
+                rest /= c.radix[p];
+            }
+            add[0] = rest;
+            bool carryIn = false;
+            for (std::size_t p = n; p-- > 0;) {
+                const std::string sv = carryVar("s", c.level, p);
+                if (add[p] != 0)
+                    w.line(sv + " += " + lit(add[p]) + ";");
+                carryIn = p > 0 && (add[p] != 0 || carryIn);
+                if (!carryIn)
+                    continue;
+                w.open("if (" + sv + " >= " + lit(c.radix[p]) + ")");
+                w.line(sv + " -= " + lit(c.radix[p]) + ";");
+                w.line("++" + carryVar("s", c.level, p - 1) + ";");
+                w.close();
+            }
+        }
         w.close();
-    if (guarded)
-        w.close();
-    for (std::size_t a = 0; a < A; ++a)
-        w.close();
+    }
 }
 
 /**
@@ -426,7 +365,14 @@ emitPrologue(CWriter &w, const std::string &kind,
              const EmitTypes &types)
 {
     w.line("/* amos jit exec kernel (" + kind + ")");
-    w.line(" * " + sanitizeComment(description));
+    const std::string text = sanitizeComment(description);
+    for (std::size_t at = 0;;) {
+        const std::size_t nl = text.find('\n', at);
+        w.line(" * " + text.substr(at, nl - at));
+        if (nl == std::string::npos)
+            break;
+        at = nl + 1;
+    }
     w.line(" *");
     w.line(" * Loop order matches the stride-walk engine exactly, so");
     w.line(" * accumulation — floating-point bits and wrapped int32");
@@ -510,12 +456,8 @@ generateDirectKernelC(const ExecPlan &plan,
     emitPrologue(w, "mapped direct", description, false, types);
     emitOperandPointers(w, types);
 
-    std::vector<const ExecPlan::Operand *> ops;
-    for (std::size_t m = 0; m < nin; ++m)
-        ops.push_back(&plan.directOperands()[m]);
-    ops.push_back(&plan.directOperands().back());
-    emitMappedNest(
-        w, plan, ops, "d",
+    emitAffineNest(
+        w, plan.lowered(ExecPlan::Sweep::Direct), "d",
         accumulateBody(plan.combine(), types, inputPtrNames(nin)));
     w.close();
     return w.out.str();
@@ -568,13 +510,8 @@ generatePackedKernelC(const ExecPlan &plan,
     // destination].
     w.line("/* stage A: pack inputs */");
     {
-        std::vector<const ExecPlan::Operand *> ops;
-        for (std::size_t m = 0; m < nin; ++m) {
-            ops.push_back(&plan.directOperands()[m]);
-            ops.push_back(&packed[m]);
-        }
-        emitMappedNest(
-            w, plan, ops, "A",
+        emitAffineNest(
+            w, plan.lowered(ExecPlan::Sweep::Pack), "A",
             [&](CWriter &ww, const std::vector<std::string> &a) {
                 for (std::size_t m = 0; m < nin; ++m) {
                     std::string src = "in" + std::to_string(m) + "[" +
@@ -605,10 +542,8 @@ generatePackedKernelC(const ExecPlan &plan,
     // Stage C: unpack the output stream back to the software layout.
     w.line("/* stage C: unpack output */");
     {
-        std::vector<const ExecPlan::Operand *> ops = {
-            &packed.back(), &plan.directOperands().back()};
-        emitMappedNest(
-            w, plan, ops, "C",
+        emitAffineNest(
+            w, plan.lowered(ExecPlan::Sweep::Unpack), "C",
             [&](CWriter &ww, const std::vector<std::string> &a) {
                 ww.line("out[" + a[1] + "] = " + pk.back() + "[" +
                         a[0] + "];");

@@ -1,17 +1,19 @@
 /**
  * @file
- * Native lowering of compiled execution plans: turn the stride-walk
- * engine's precomputed tables (tensor/access_walk.hh,
- * mapping/exec_plan.hh) into a self-contained C translation unit the
- * JIT tier compiles at -O3 and dlopens.
+ * Native lowering of compiled execution plans: turn the walk plans
+ * the stride-walk engine runs (tensor/access_walk.hh; a mapped plan's
+ * sweeps come from ExecPlan::lowered, mapping/exec_plan.hh) into a
+ * self-contained C translation unit the JIT tier compiles at -O3 and
+ * dlopens. The same text is what `amos_cli --emit-c` writes: the one
+ * C backend, both executed and inspected.
  *
- * Unlike generateC (codegen.hh), which emits the *structural* kernel
- * of a mapping for human inspection and compile-and-run verification,
- * these emitters are an execution backend: every loop bound, stride,
- * and base address is baked in as a constant, operand pointers are
- * restrict-qualified, and partial flat addresses are hoisted out of
- * inner loops — so the system compiler can strength-reduce and
- * auto-vectorize the inner loops. Loop order is exactly the
+ * Every loop bound, stride, and base address is baked in as a
+ * constant, operand pointers are restrict-qualified, and partial flat
+ * addresses are hoisted out of inner loops — so the system compiler
+ * can strength-reduce and auto-vectorize the inner loops. Clamped
+ * levels stop at the end of their fused group, and carry levels read
+ * their digits' address contribution from a per-tile table built by
+ * carry steps, so no emitted loop divides. Loop order is exactly the
  * stride-walk engine's (which is the interpreter's), so accumulation
  * order — and therefore every floating-point bit — is identical to
  * the other two tiers.
@@ -66,17 +68,19 @@ generateWalkKernelC(const AccessWalkPlan &plan, CombineKind combine,
                     const std::vector<DataType> &operandDtypes = {});
 
 /**
- * Lower a compiled ExecPlan's direct path (outer axes x per-group
- * tile counters with padding clamps and digit decode). Requires
- * plan.compiled().
+ * Lower a compiled ExecPlan's direct path: its lowered direct sweep
+ * (outer axes x per-group tile counters, with padding clamps and
+ * carry levels). Requires plan.compiled().
  */
 std::string generateDirectKernelC(const ExecPlan &plan,
                                   const std::string &description);
 
 /**
  * Lower a compiled ExecPlan's packed pipeline: calloc'd tile
- * streams, pack loops, the pure affine compute stage, and the
- * masked unpack — one translation unit. Requires plan.compiled().
+ * streams, the lowered pack sweep, the pure affine compute stage,
+ * and the lowered unpack sweep — one translation unit. A multi-line
+ * `description` becomes one comment line per line. Requires
+ * plan.compiled().
  */
 std::string generatePackedKernelC(const ExecPlan &plan,
                                   const std::string &description);

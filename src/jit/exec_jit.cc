@@ -3,14 +3,12 @@
  * The executor-facing half of the JIT tier: lower the precompiled
  * plans to C via codegen/exec_c.hh, compile through the global
  * JitEngine, and run the resulting kernel. Installed into the
- * executors' hook points (tensor/jit_hook.hh, mapping/jit_hook.hh)
- * by a static registrar; binaries link amos_jit with WHOLE_ARCHIVE
+ * executors' hook point (tensor/jit_hook.hh) by a static registrar; binaries link amos_jit with WHOLE_ARCHIVE
  * (or call jit::ensureLinked()) so the registrar is not dropped.
  */
 
 #include "codegen/exec_c.hh"
 #include "jit/jit.hh"
-#include "mapping/jit_hook.hh"
 #include "tensor/jit_hook.hh"
 
 namespace amos {
@@ -85,15 +83,13 @@ jitMappedPackedRun(const MappingPlan &plan, const ExecPlan &ep,
     return compileAndRun(source, inputs, output, why);
 }
 
-const ReferenceJitHook kReferenceHook{&jitReferenceRun};
-const MappedJitHooks kMappedHooks{&jitMappedDirectRun,
-                                  &jitMappedPackedRun};
+const JitHooks kHooks{&jitReferenceRun, &jitMappedDirectRun,
+                     &jitMappedPackedRun};
 
 void
 installHooks()
 {
-    setReferenceJitHook(&kReferenceHook);
-    setMappedJitHooks(&kMappedHooks);
+    setJitHooks(&kHooks);
 }
 
 struct Registrar

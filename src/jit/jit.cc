@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/atomic_file.hh"
 #include "support/dylib.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
@@ -34,13 +35,17 @@ hexKey(std::uint64_t key)
     return buf;
 }
 
-/** Unique per-process suffix for temp files next to the target. */
+/**
+ * Unique per-process temp suffix in writeFileAtomic's form,
+ * `.tmp.<pid>.<n>`, so removeOrphanTemps recognises the leftovers of
+ * a process that died mid-compile.
+ */
 std::string
 tempSuffix()
 {
     static std::atomic<std::uint64_t> counter{0};
-    return std::to_string(static_cast<long>(::getpid())) + "." +
-           std::to_string(counter.fetch_add(1));
+    return ".tmp." + std::to_string(static_cast<long>(::getpid())) +
+           "." + std::to_string(counter.fetch_add(1));
 }
 
 } // namespace
@@ -154,8 +159,15 @@ JitEngine::build(std::uint64_t key, const std::string &source)
         return fail("cannot create jit cache dir '" + _opts.cacheDir +
                     "': " + ec.message());
 
-    const std::string soPath =
-        _opts.cacheDir + "/amos_jit_" + hexKey(key) + ".so";
+    // Once per engine: drop the temps of compiles whose process died.
+    std::call_once(_swept, [&] {
+        MetricsRegistry::global()
+            .counter("jit.orphan_temps_removed")
+            .add(removeOrphanTemps(_opts.cacheDir + "/amos_jit_"));
+    });
+
+    const std::string stem = _opts.cacheDir + "/amos_jit_" + hexKey(key);
+    const std::string soPath = stem + ".so";
 
     // Warm start: a previous process may have installed the object.
     // A corrupt or truncated file is deleted and rebuilt.
@@ -187,8 +199,8 @@ JitEngine::build(std::uint64_t key, const std::string &source)
         return fail(std::move(why));
 
     const std::string suffix = tempSuffix();
-    const std::string srcPath = soPath + "." + suffix + ".c";
-    const std::string tmpSo = soPath + "." + suffix + ".tmp";
+    const std::string srcPath = stem + ".c" + suffix;
+    const std::string tmpSo = soPath + suffix;
     {
         std::ofstream src(srcPath);
         src << source;

@@ -10,8 +10,9 @@
  * engine keeps an in-memory handle table (dlopen'd libraries +
  * resolved entry points, with in-flight compile coalescing and
  * negative-result caching) over an on-disk .so store; installs are
- * crash-safe (compile to a temp path, rename() into place), and a
- * corrupt or truncated .so is deleted and recompiled instead of
+ * crash-safe (compile to a temp path, rename() into place), the
+ * temps of a process that died mid-compile are swept once per engine,
+ * and a corrupt or truncated .so is deleted and recompiled instead of
  * crashing the process.
  *
  * Environment knobs:
@@ -109,6 +110,7 @@ class JitEngine
     std::condition_variable _ready;
     std::map<std::uint64_t, std::shared_ptr<Entry>> _table;
     JitStats _stats;
+    std::once_flag _swept; ///< orphaned temps removed
     bool _probed = false;
     bool _compilerOk = false;
 };
@@ -117,7 +119,7 @@ namespace jit {
 
 /**
  * Force the executor hooks to be installed even when the linker
- * dropped the static registrar (see mapping/jit_hook.hh). Calling
+ * dropped the static registrar (see tensor/jit_hook.hh). Calling
  * this from any binary that links amos_jit is always safe.
  */
 void ensureLinked();

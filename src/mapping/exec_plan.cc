@@ -7,273 +7,19 @@
 #include "ir/affine.hh"
 #include "quant/typed_exec.hh"
 #include "support/logging.hh"
-#include "support/thread_pool.hh"
 
 namespace amos {
 
 namespace {
 
-/**
- * Per-tile digit odometer over the mapped loop nest: outer axes
- * around per-group intrinsic counters whose software coordinates are
- * mixed-radix digits of the fused flat value. Only sweeps with a
- * non-linear fused group run here; every other sweep is lowered to
- * an AccessWalkPlan (ExecPlan::lowered) and runs on the stride
- * walker.
- *
- * Per tile the walker decodes each group's start digits once, clamps
- * the counter to the valid (non-padding) limit, and then advances
- * every operand address incrementally: a counter increment moves one
- * group's digit odometer (one coefficient add, rollbacks on digit
- * carries) plus that counter's packed-tile stride; a counter carry
- * restores the address snapshot taken when the counter last left
- * zero. The executed tuples — and hence accumulation order — are
- * exactly the interpreter's non-padding subsequence.
- *
- * `restrictAxis`, when >= 0, confines that outer axis to [lo, hi);
- * used by the parallel sweep.
- */
-template <typename Body>
-void
-runMappedWalkRange(const std::vector<std::int64_t> &iterExt,
-                   const std::vector<ExecPlan::Axis> &axes,
-                   const std::vector<ExecPlan::Group> &groups,
-                   const ExecPlan::Operand *const *ops,
-                   std::size_t nops, int restrictAxis, std::int64_t lo,
-                   std::int64_t hi, Body &&body)
-{
-    const std::size_t A = axes.size();
-    const std::size_t K = groups.size();
-    const std::size_t S = iterExt.size();
-    require(nops <= kMaxWalkOperands && S <= kMaxWalkLevels,
-            "runMappedWalkRange: nest too large (", nops,
-            " operands, ", S, " iterators)");
-
-    // Flattened coefficient tables: absent components read as zero.
-    std::vector<std::int64_t> swc(nops * S, 0), swr(nops * S, 0);
-    std::vector<std::int64_t> tst(nops * std::max<std::size_t>(K, 1),
-                                  0);
-    std::vector<std::int64_t> ost(nops * std::max<std::size_t>(A, 1),
-                                  0);
-    for (std::size_t m = 0; m < nops; ++m) {
-        const ExecPlan::Operand &op = *ops[m];
-        for (std::size_t s = 0; s < op.swCoeff.size(); ++s) {
-            swc[m * S + s] = op.swCoeff[s];
-            swr[m * S + s] = op.swRollback[s];
-        }
-        for (std::size_t k = 0; k < op.tStride.size(); ++k)
-            tst[m * K + k] = op.tStride[k];
-        for (std::size_t a = 0; a < op.outerStride.size(); ++a)
-            ost[m * A + a] = op.outerStride[a];
-    }
-
-    std::vector<std::int64_t> aext(A, 1), oidx(A, 0), oval(A, 0);
-    for (std::size_t a = 0; a < A; ++a) {
-        aext[a] = static_cast<int>(a) == restrictAxis
-                      ? hi - lo
-                      : axes[a].extent;
-        if (aext[a] <= 0)
-            return;
-        oval[a] = static_cast<int>(a) == restrictAxis ? lo : 0;
-    }
-
-    std::vector<std::int64_t> sw(S, 0), startSw(S, 0);
-    std::vector<std::int64_t> t(K, 0), startFlat(K, 0), lim(K, 0);
-    std::vector<std::int64_t> qv(K, 0);
-    std::vector<std::int64_t> saved(std::max<std::size_t>(K, 1) *
-                                    nops);
-    std::int64_t addr[kMaxWalkOperands];
-
-    auto runTile = [&]() {
-        // Decode each group's tile-start digits; clamp the counter to
-        // the valid limit (the interpreter skips the padding tail).
-        for (std::size_t k = 0; k < K; ++k) {
-            const ExecPlan::Group &g = groups[k];
-            startFlat[k] = qv[k] * g.intrinsicExtent;
-            lim[k] = std::min(g.intrinsicExtent,
-                              g.fusedExtent - startFlat[k]);
-            if (lim[k] <= 0)
-                return; // tile is pure padding
-            std::int64_t f = startFlat[k];
-            for (std::size_t pos = g.members.size(); pos-- > 0;) {
-                startSw[g.members[pos]] = f % g.extents[pos];
-                f /= g.extents[pos];
-            }
-            t[k] = 0;
-        }
-        sw = startSw;
-        for (std::size_t m = 0; m < nops; ++m) {
-            std::int64_t a0 = ops[m]->base;
-            for (std::size_t s = 0; s < S; ++s)
-                a0 += swc[m * S + s] * sw[s];
-            for (std::size_t a = 0; a < A; ++a)
-                a0 += ost[m * A + a] * oval[a];
-            addr[m] = a0;
-        }
-        for (std::size_t k = 0; k < K; ++k)
-            for (std::size_t m = 0; m < nops; ++m)
-                saved[k * nops + m] = addr[m];
-
-        while (true) {
-            body(addr);
-            if (K == 0)
-                return;
-            std::size_t d = K;
-            while (true) {
-                --d;
-                if (t[d] + 1 < lim[d]) {
-                    ++t[d];
-                    const ExecPlan::Group &g = groups[d];
-                    for (std::size_t pos = g.members.size();
-                         pos-- > 0;) {
-                        std::size_t s = g.members[pos];
-                        if (++sw[s] < g.extents[pos]) {
-                            for (std::size_t m = 0; m < nops; ++m)
-                                addr[m] += swc[m * S + s];
-                            break;
-                        }
-                        sw[s] = 0;
-                        for (std::size_t m = 0; m < nops; ++m)
-                            addr[m] -= swr[m * S + s];
-                    }
-                    for (std::size_t m = 0; m < nops; ++m)
-                        addr[m] += tst[m * K + d];
-                    for (std::size_t j = d + 1; j < K; ++j)
-                        for (std::size_t m = 0; m < nops; ++m)
-                            saved[j * nops + m] = addr[m];
-                    break;
-                }
-                // Carry: group d back to its tile-start digits.
-                t[d] = 0;
-                const ExecPlan::Group &g = groups[d];
-                std::int64_t f = startFlat[d];
-                for (std::size_t pos = g.members.size(); pos-- > 0;) {
-                    sw[g.members[pos]] = f % g.extents[pos];
-                    f /= g.extents[pos];
-                }
-                for (std::size_t m = 0; m < nops; ++m)
-                    addr[m] = saved[d * nops + m];
-                if (d == 0)
-                    return;
-            }
-        }
-    };
-
-    auto applyAxes = [&]() {
-        for (std::size_t a = 0; a < A; ++a) {
-            if (axes[a].isQuotient)
-                qv[axes[a].ref] = oval[a];
-            else
-                startSw[axes[a].ref] = oval[a];
-        }
-    };
-
-    if (A == 0) {
-        runTile();
-        return;
-    }
-    while (true) {
-        applyAxes();
-        runTile();
-        std::size_t d = A;
-        while (true) {
-            --d;
-            if (++oidx[d] < aext[d]) {
-                ++oval[d];
-                break;
-            }
-            oidx[d] = 0;
-            oval[d] = static_cast<int>(d) == restrictAxis ? lo : 0;
-            if (d == 0)
-                return;
-        }
-    }
-}
-
-/**
- * Parallel mapped sweep over `splitAxis` (already proven to touch
- * disjoint output elements per axis value): contiguous chunks, one
- * serial range walk per chunk. Bit-identical for any thread count.
- */
-template <typename Body>
-WalkRunStats
-runMappedWalkParallel(const std::vector<std::int64_t> &iterExt,
-                      const std::vector<ExecPlan::Axis> &axes,
-                      const std::vector<ExecPlan::Group> &groups,
-                      const ExecPlan::Operand *const *ops,
-                      std::size_t nops, int splitAxis, int numThreads,
-                      Body &&body)
-{
-    WalkRunStats stats;
-    std::size_t threads = ThreadPool::resolveThreads(numThreads);
-    if (threads <= 1 || splitAxis < 0) {
-        runMappedWalkRange(iterExt, axes, groups, ops, nops, -1, 0, 0,
-                           body);
-        return stats;
-    }
-    std::int64_t extent =
-        axes[static_cast<std::size_t>(splitAxis)].extent;
-    std::size_t chunks = std::min<std::size_t>(
-        threads, static_cast<std::size_t>(extent));
-    stats.threadsUsed = static_cast<int>(chunks);
-    stats.splitLevel = splitAxis;
-    parallelFor(
-        chunks,
-        [&](std::size_t c) {
-            std::int64_t lo = extent * static_cast<std::int64_t>(c) /
-                              static_cast<std::int64_t>(chunks);
-            std::int64_t hi =
-                extent * static_cast<std::int64_t>(c + 1) /
-                static_cast<std::int64_t>(chunks);
-            runMappedWalkRange(iterExt, axes, groups, ops, nops,
-                               splitAxis, lo, hi, body);
-        },
-        static_cast<int>(chunks));
-    return stats;
-}
-
-/**
- * One serial mapped sweep (pack, unpack): the lowered stride walk
- * when the plan has one, else the per-tile digit odometer.
- */
+/** One serial mapped sweep (pack, unpack) on its lowered walk. */
 template <typename Body>
 WalkRunStats
 runSweep(const ExecPlan &plan, ExecPlan::Sweep sweep, Body &&body)
 {
+    runAccessWalk(plan.lowered(sweep), body);
     WalkRunStats stats;
-    if (const auto walk = plan.lowered(sweep)) {
-        runAccessWalk(*walk, body);
-        stats.loweredSweeps = 1;
-        return stats;
-    }
-    const auto ops = plan.sweepOperands(sweep);
-    runMappedWalkRange(plan.iterExtents(), plan.axes(), plan.groups(),
-                       ops.data(), ops.size(), -1, 0, 0, body);
-    stats.tiledSweeps = 1;
-    return stats;
-}
-
-/**
- * The direct sweep, split across threads on `splitAxis` (-1:
- * serial). Outer axes are the lowered walk's leading levels, so the
- * axis names the same level in both forms.
- */
-template <typename Body>
-WalkRunStats
-runDirectSweep(const ExecPlan &plan, int splitAxis, int numThreads,
-               Body &&body)
-{
-    WalkRunStats stats;
-    if (const auto walk = plan.lowered(ExecPlan::Sweep::Direct)) {
-        stats = runAccessWalkSplit(*walk, splitAxis, numThreads, body);
-        stats.loweredSweeps = 1;
-        return stats;
-    }
-    const auto ops = plan.sweepOperands(ExecPlan::Sweep::Direct);
-    stats = runMappedWalkParallel(plan.iterExtents(), plan.axes(),
-                                  plan.groups(), ops.data(), ops.size(),
-                                  splitAxis, numThreads, body);
-    stats.tiledSweeps = 1;
+    stats.loweredSweeps = 1;
     return stats;
 }
 
@@ -339,7 +85,6 @@ runPackedTyped(const ExecPlan &plan, const ExecOptions &opts, L0 l0,
         }));
     stats.loweredSweeps =
         packStats.loweredSweeps + unpackStats.loweredSweeps;
-    stats.tiledSweeps = packStats.tiledSweeps + unpackStats.tiledSweeps;
     return stats;
 }
 
@@ -430,18 +175,17 @@ ExecPlan::compileDirectOperands(const MappingPlan &plan)
         Operand op;
         op.base = analysis.form->constant();
         op.swCoeff.resize(S);
-        op.swRollback.resize(S);
         op.minAddr = op.base;
         op.maxAddr = op.base;
         for (std::size_t s = 0; s < S; ++s) {
             std::int64_t c =
                 analysis.form->coeffOf(comp.iters()[s].var.node());
             op.swCoeff[s] = c;
-            op.swRollback[s] = c * (_iterExtents[s] - 1);
-            if (op.swRollback[s] < 0)
-                op.minAddr += op.swRollback[s];
+            const std::int64_t span = c * (_iterExtents[s] - 1);
+            if (span < 0)
+                op.minAddr += span;
             else
-                op.maxAddr += op.swRollback[s];
+                op.maxAddr += span;
         }
         op.tStride.assign(K, 0);
         op.outerStride.assign(A, 0);
@@ -635,20 +379,31 @@ ExecPlan::sweepOperands(Sweep sweep) const
 
 /**
  * Lower one mapped sweep to a stride walk over
- * [outer axes][intrinsic counters]. A group with alpha contributes
- * alpha * (q * I + t), so its quotient axis steps by alpha * I and
- * its counter by alpha, on top of the packed-tile strides. The
- * counter of a padded group with a quotient axis is clamped to
- * min(I, F - q * I); without a quotient axis, q is 0 and the extent
- * is min(I, F).
+ * [outer axes][intrinsic counters]. A group that every operand sees
+ * linearly (alpha) contributes alpha * (q * I + t), so its quotient
+ * axis steps by alpha * I and its counter by alpha, on top of the
+ * packed-tile strides. Any other group becomes a carry level: the
+ * members' coefficients of each operand without an alpha go to the
+ * carry's digits, and that operand's quotient-axis and counter
+ * strides keep only the packed-tile parts. The counter of a padded group with a quotient axis is
+ * clamped to min(I, F - q * I); without a quotient axis, q is 0 and
+ * the extent is min(I, F).
  */
-std::optional<AccessWalkPlan>
+AccessWalkPlan
 ExecPlan::lowered(Sweep sweep) const
 {
     require(compiled(), "ExecPlan::lowered on an uncompiled plan");
     const std::size_t A = _axes.size();
     const std::size_t K = _groups.size();
     const auto ops = sweepOperands(sweep);
+    auto swCoeff = [](const Operand *op, std::size_t s) -> std::int64_t {
+        return s < op->swCoeff.size() ? op->swCoeff[s] : 0;
+    };
+    std::vector<bool> carried(K, false);
+    for (const Operand *op : ops)
+        for (std::size_t k = 0; k < K; ++k)
+            carried[k] = carried[k] || !op->groupAlpha[k];
+
     AccessWalkPlan walk;
     for (const auto &ax : _axes)
         walk.extents.push_back(ax.extent);
@@ -658,6 +413,20 @@ ExecPlan::lowered(Sweep sweep) const
         for (std::size_t a = 0; a < A; ++a)
             if (_axes[a].isQuotient && _axes[a].ref == k)
                 quotAxis = static_cast<int>(a);
+        if (carried[k]) {
+            WalkCarry c;
+            c.level = A + k;
+            c.quotientLevel = quotAxis;
+            c.tile = g.intrinsicExtent;
+            c.radix = g.extents;
+            for (const Operand *op : ops) {
+                c.coeff.emplace_back();
+                for (auto s : g.members)
+                    c.coeff.back().push_back(
+                        op->groupAlpha[k] ? 0 : swCoeff(op, s));
+            }
+            walk.carries.push_back(std::move(c));
+        }
         if (quotAxis < 0) {
             walk.extents.push_back(
                 std::min(g.intrinsicExtent, g.fusedExtent));
@@ -672,9 +441,9 @@ ExecPlan::lowered(Sweep sweep) const
                                    g.intrinsicExtent, g.fusedExtent});
     }
     for (const Operand *op : ops) {
-        for (const auto &alpha : op->groupAlpha)
-            if (!alpha)
-                return std::nullopt;
+        auto alphaOf = [&](std::size_t k) -> std::int64_t {
+            return op->groupAlpha[k].value_or(0);
+        };
         WalkOperand w;
         w.base = op->base;
         for (std::size_t a = 0; a < A; ++a) {
@@ -682,17 +451,15 @@ ExecPlan::lowered(Sweep sweep) const
             std::int64_t s =
                 a < op->outerStride.size() ? op->outerStride[a] : 0;
             if (!ax.isQuotient)
-                s += ax.ref < op->swCoeff.size() ? op->swCoeff[ax.ref]
-                                                 : 0;
+                s += swCoeff(op, ax.ref);
             else
-                s += *op->groupAlpha[ax.ref] *
-                     _groups[ax.ref].intrinsicExtent;
+                s += alphaOf(ax.ref) * _groups[ax.ref].intrinsicExtent;
             w.stride.push_back(s);
         }
         for (std::size_t k = 0; k < K; ++k)
-            w.stride.push_back(*op->groupAlpha[k] +
-                               (k < op->tStride.size() ? op->tStride[k]
-                                                       : 0));
+            w.stride.push_back(alphaOf(k) + (k < op->tStride.size()
+                                                 ? op->tStride[k]
+                                                 : 0));
         walk.operands.push_back(std::move(w));
     }
     walk.finalize();
@@ -700,21 +467,17 @@ ExecPlan::lowered(Sweep sweep) const
 }
 
 std::vector<std::vector<std::int64_t>>
-ExecPlan::sweepAddresses(Sweep sweep, bool tiled, int restrictAxis,
-                         std::int64_t lo, std::int64_t hi) const
+ExecPlan::sweepAddresses(Sweep sweep, int restrictAxis, std::int64_t lo,
+                         std::int64_t hi) const
 {
     require(compiled(), "ExecPlan::sweepAddresses on an uncompiled plan");
-    const auto ops = sweepOperands(sweep);
+    const AccessWalkPlan walk = lowered(sweep);
     std::vector<std::vector<std::int64_t>> visited;
-    auto record = [&](const std::int64_t *a) {
-        visited.emplace_back(a, a + ops.size());
-    };
-    const auto walk = tiled ? std::nullopt : lowered(sweep);
-    if (walk)
-        runAccessWalkRange(*walk, restrictAxis, lo, hi, record);
-    else
-        runMappedWalkRange(_iterExtents, _axes, _groups, ops.data(),
-                           ops.size(), restrictAxis, lo, hi, record);
+    runAccessWalkRange(walk, restrictAxis, lo, hi,
+                       [&](const std::int64_t *a) {
+                           visited.emplace_back(
+                               a, a + walk.operands.size());
+                       });
     return visited;
 }
 
@@ -813,25 +576,27 @@ ExecPlan::runDirect(const std::vector<const Buffer *> &inputs,
     // numeric discipline (float MAC, exact int32 dot, bf16 widening).
     WalkRunStats stats;
     const bool inRegister = !outputAliasesInput(output, inputs);
+    const AccessWalkPlan walk = lowered(Sweep::Direct);
     switch (_combine) {
       case CombineKind::MultiplyAdd:
         quant::dispatchMulAdd(
             _semantics, *inputs[0], *inputs[1], output,
             [&](auto l0, auto l1, auto acc) {
-                stats = runDirectSweep(
-                    *this, _directSplit, opts.numThreads,
+                stats = runAccessWalkSplit(
+                    walk, _directSplit, opts.numThreads,
                     quant::accumulateBody<2>(l0, l1, acc, inRegister));
             });
         break;
       case CombineKind::SumReduce:
         quant::dispatchSum(
             _semantics, *inputs[0], output, [&](auto l0, auto acc) {
-                stats = runDirectSweep(
-                    *this, _directSplit, opts.numThreads,
+                stats = runAccessWalkSplit(
+                    walk, _directSplit, opts.numThreads,
                     quant::accumulateBody<1>(l0, l0, acc, inRegister));
             });
         break;
     }
+    stats.loweredSweeps = 1;
     return stats;
 }
 

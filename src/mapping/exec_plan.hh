@@ -14,16 +14,15 @@
  *
  *  - The direct executor's nest (outer axes x intrinsic iterations)
  *    reconstructs software coordinates as mixed-radix digits of each
- *    group's fused flat value. When every operand's coefficients on a
- *    group's members are alpha times the digit strides, the group
- *    contributes alpha * flat = alpha * (q * I + t): linear in the
- *    quotient axis and the counter. If that holds for every group,
- *    the nest is lowered to a plain AccessWalkPlan over
- *    [outer axes][intrinsic counters] whose counter levels are
- *    clamped to min(I, F - q * I), and runs on the fixed-arity stride
- *    walker. Otherwise it runs on a per-tile digit odometer: one
- *    coefficient add per increment, a precomputed rollback per digit
- *    carry, and a saved-address restore per group carry.
+ *    group's fused flat value. Every sweep lowers to one
+ *    AccessWalkPlan over [outer axes][intrinsic counters] whose
+ *    counter levels are clamped to min(I, F - q * I). When every
+ *    operand's coefficients on a group's members are alpha times the
+ *    digit strides, the group contributes alpha * flat =
+ *    alpha * (q * I + t): plain strides on the quotient axis and the
+ *    counter. Any other group's counter becomes a carry level
+ *    (tensor/access_walk.hh): start digits decoded once per tile, a
+ *    precomputed address delta per digit step and carry.
  *
  *  - The packed executor's pack / compute / unpack stages are
  *    restructured onto the same nest (and lowered by the same rule).
@@ -111,7 +110,7 @@ class ExecPlan
         std::int64_t extent = 1;
     };
 
-    /** Fused-group digit odometer description. */
+    /** A fused group: its members are the digits of the flat value. */
     struct Group
     {
         std::vector<std::size_t> members; ///< sw positions, loop order
@@ -126,8 +125,6 @@ class ExecPlan
         /// Flat-address coefficient per software iterator (empty for
         /// packed-tile streams).
         std::vector<std::int64_t> swCoeff;
-        /// swCoeff[s] * (extent_s - 1): subtracted on a digit carry.
-        std::vector<std::int64_t> swRollback;
         /// Address step per intrinsic-iteration counter.
         std::vector<std::int64_t> tStride;
         /// Address step per outer axis (packed tile bases).
@@ -171,24 +168,23 @@ class ExecPlan
     };
 
     /**
-     * A sweep lowered to a clamped stride walk, or nullopt when one of
-     * its operands sees a non-linear fused group (the sweep then runs
-     * on the per-tile digit odometer). Built on each call, so that
-     * constructing a plan for the JIT tier costs nothing extra.
+     * A sweep lowered to a stride walk with clamped and carry levels:
+     * the one executable form of the sweep, run by the walk engine
+     * and emitted by the JIT. Built on each call, so that constructing
+     * a plan for the JIT tier costs nothing extra.
      */
-    std::optional<AccessWalkPlan> lowered(Sweep sweep) const;
+    AccessWalkPlan lowered(Sweep sweep) const;
 
     /** A sweep's operands, in walk order. */
     std::vector<const Operand *> sweepOperands(Sweep sweep) const;
 
     /**
      * Address tuples one sweep visits, in order (tests and
-     * diagnostics). `tiled` forces the per-tile digit odometer even
-     * when the sweep is lowered; `restrictAxis` >= 0 confines that
-     * outer axis to [lo, hi).
+     * diagnostics). `restrictAxis` >= 0 confines that outer axis to
+     * [lo, hi).
      */
     std::vector<std::vector<std::int64_t>>
-    sweepAddresses(Sweep sweep, bool tiled, int restrictAxis = -1,
+    sweepAddresses(Sweep sweep, int restrictAxis = -1,
                    std::int64_t lo = 0, std::int64_t hi = 0) const;
 
     CombineKind combine() const { return _combine; }

@@ -1,11 +1,11 @@
 #include "execute.hh"
 
 #include "mapping/exec_plan.hh"
-#include "mapping/jit_hook.hh"
 #include "quant/semantics.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
+#include "tensor/jit_hook.hh"
 #include "tensor/reference.hh"
 
 namespace amos {
@@ -391,7 +391,7 @@ dispatchMapped(const char *spanName, const MappingPlan &plan,
             ep.compiled() && ep.buffersMatch(inputs, output, &why);
 
         if (engine == ExecEngine::Jit) {
-            const MappedJitHooks *hooks = mappedJitHooks();
+            const JitHooks *hooks = jitHooks();
             MappedJitFn fn = hooks ? selectHook(*hooks) : nullptr;
             std::string jitWhy;
             if (!fits)
@@ -456,7 +456,7 @@ executeMappedDirect(const MappingPlan &plan,
             plan.computation().name(), "): ", sem.reason);
     return dispatchMapped(
         "exec.direct", plan, inputs, output, opts,
-        [](const MappedJitHooks &h) { return h.runDirect; },
+        [](const JitHooks &h) { return h.runDirect; },
         [&](const ExecPlan &ep) {
             return ep.runDirect(inputs, output, opts);
         },
@@ -486,7 +486,7 @@ executeMappedPacked(const MappingPlan &plan,
             plan.computation().name(), "): ", sem.reason);
     return dispatchMapped(
         "exec.packed", plan, inputs, output, opts,
-        [](const MappedJitHooks &h) { return h.runPacked; },
+        [](const JitHooks &h) { return h.runPacked; },
         [&](const ExecPlan &ep) {
             return ep.runPacked(inputs, output, opts);
         },

@@ -27,7 +27,7 @@
  * identical for every thread count.
  *
  * With ExecEngine::Jit each path is additionally lowered to native
- * code through the registered JIT hooks (mapping/jit_hook.hh),
+ * code through the registered JIT hooks (tensor/jit_hook.hh),
  * falling back to the stride walk — and then the interpreter — when
  * the tier declines (logged via exec.jit_fallback). All executors
  * return an ExecReport naming the tier that actually ran.

@@ -1,8 +1,10 @@
 #include "subprocess.hh"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -43,32 +45,35 @@ programAvailable(const std::string &program)
 bool
 compileSharedObject(const SharedObjectJob &job, std::string *errText)
 {
-    std::string errPath = job.outputPath + ".err";
+    // -x c: the source may be a temp name without a .c suffix. The
+    // diagnostics come back through the pipe, so no error file is
+    // left behind when the process dies mid-compile.
     std::ostringstream cmd;
     cmd << job.compiler << " " << job.flags << " -shared -fPIC -o "
-        << job.outputPath << " " << job.sourcePath << " 2> "
-        << errPath;
-    CommandResult result = runShellCommand(cmd.str());
-    if (!result.ok()) {
-        if (errText) {
-            std::ifstream err(errPath);
-            std::ostringstream text;
-            text << err.rdbuf();
-            std::string full = text.str();
-            // Keep the tail: with `-Werror`-style cascades the last
-            // lines carry the actual failure.
-            constexpr std::size_t kMaxErr = 512;
-            if (full.size() > kMaxErr)
-                full = "..." + full.substr(full.size() - kMaxErr);
-            *errText = "exit " + std::to_string(result.exitCode) +
-                       (full.empty() ? "" : ": " + full);
-        }
-        std::remove(errPath.c_str());
-        std::remove(job.outputPath.c_str());
-        return false;
+        << job.outputPath << " -x c " << job.sourcePath << " 2>&1";
+    std::string full;
+    int status = -1;
+    if (FILE *pipe = ::popen(cmd.str().c_str(), "r")) {
+        for (char line[512]; std::fgets(line, sizeof line, pipe);)
+            full += line;
+        status = ::pclose(pipe);
     }
-    std::remove(errPath.c_str());
-    return true;
+    if (status == 0)
+        return true;
+    if (errText) {
+        int exitCode = -1; // the shell could not run, or a signal
+        if (status != -1 && WIFEXITED(status))
+            exitCode = WEXITSTATUS(status);
+        // Keep the tail: with `-Werror`-style cascades the last
+        // lines carry the actual failure.
+        constexpr std::size_t kMaxErr = 512;
+        if (full.size() > kMaxErr)
+            full = "..." + full.substr(full.size() - kMaxErr);
+        *errText = "exit " + std::to_string(exitCode) +
+                   (full.empty() ? "" : ": " + full);
+    }
+    ::unlink(job.outputPath.c_str());
+    return false;
 }
 
 } // namespace amos

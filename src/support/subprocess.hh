@@ -40,15 +40,16 @@ struct SharedObjectJob
 {
     std::string compiler;   ///< e.g. "cc" or "/usr/bin/gcc"
     std::string flags;      ///< e.g. "-O3 -march=native"
-    std::string sourcePath; ///< input .c translation unit
+    std::string sourcePath; ///< input C translation unit
     std::string outputPath; ///< output .so path
 };
 
 /**
  * Compile one C source into a shared object
- * (`<compiler> <flags> -shared -fPIC -o <out> <src>`). On failure
- * returns false and fills `errText` with the tail of the compiler's
- * stderr so fallback reasons stay diagnosable.
+ * (`<compiler> <flags> -shared -fPIC -o <out> -x c <src>`, so the
+ * source needs no .c suffix). On failure returns false and fills
+ * `errText` with the tail of the compiler's output so fallback
+ * reasons stay diagnosable.
  */
 bool compileSharedObject(const SharedObjectJob &job,
                          std::string *errText = nullptr);

@@ -46,14 +46,7 @@ noteWalkRun(TraceSpan &span, const WalkRunStats &stats,
     if (stats.loweredSweeps > 0)
         metrics.counter("exec.walk_lowered_runs")
             .add(static_cast<std::uint64_t>(stats.loweredSweeps));
-    if (stats.tiledSweeps > 0)
-        metrics.counter("exec.walk_tiled_runs")
-            .add(static_cast<std::uint64_t>(stats.tiledSweeps));
-    span.arg("walk_form", stats.tiledSweeps == 0
-                              ? (stats.loweredSweeps == 0 ? "affine"
-                                                          : "lowered")
-                              : (stats.loweredSweeps == 0 ? "tiled"
-                                                          : "mixed"));
+    span.arg("walk_form", stats.loweredSweeps == 0 ? "affine" : "lowered");
     if (stats.threadsUsed > 1)
         metrics.counter("exec.parallel_runs").add();
     else if (ThreadPool::resolveThreads(requestedThreads) > 1)
@@ -68,20 +61,56 @@ AccessWalkPlan::finalize()
                     c.tile > 0,
                 "AccessWalkPlan: clamp of level ", c.level,
                 " on quotient level ", c.quotientLevel, " is malformed");
-    for (auto &op : operands) {
+    std::size_t digits = 0;
+    for (const auto &c : carries) {
+        require(c.quotientLevel < static_cast<int>(c.level) &&
+                    c.level < extents.size() && c.tile > 0 &&
+                    !c.radix.empty() && c.coeff.size() == operands.size(),
+                "AccessWalkPlan: carry of level ", c.level,
+                " is malformed");
+        digits += c.radix.size();
+    }
+    require(digits <= kMaxWalkLevels, "AccessWalkPlan: ", digits,
+            " carry digits exceed the walk's limit");
+    for (std::size_t m = 0; m < operands.size(); ++m) {
+        auto &op = operands[m];
         require(op.stride.size() == extents.size(),
                 "AccessWalkPlan: operand has ", op.stride.size(),
                 " strides for ", extents.size(), " levels");
         op.rollback.resize(op.stride.size());
         op.minAddr = op.base;
         op.maxAddr = op.base;
-        for (std::size_t l = 0; l < extents.size(); ++l) {
-            std::int64_t span = op.stride[l] * (extents[l] - 1);
-            op.rollback[l] = span;
+        auto widen = [&](std::int64_t span) {
             if (span < 0)
                 op.minAddr += span;
             else
                 op.maxAddr += span;
+        };
+        for (std::size_t l = 0; l < extents.size(); ++l) {
+            op.rollback[l] = op.stride[l] * (extents[l] - 1);
+            widen(op.rollback[l]);
+        }
+        for (const auto &c : carries) {
+            require(c.coeff[m].size() == c.radix.size(),
+                    "AccessWalkPlan: carry of level ", c.level,
+                    " has ", c.coeff[m].size(), " coefficients for ",
+                    c.radix.size(), " digits");
+            for (std::size_t p = 0; p < c.radix.size(); ++p)
+                widen(c.coeff[m][p] * (c.radix[p] - 1));
+        }
+    }
+    // delta[j]: the j innermost digits wrap to 0, the next one steps.
+    for (auto &c : carries) {
+        const std::size_t n = c.radix.size();
+        c.delta.assign(n, std::vector<std::int64_t>(operands.size()));
+        for (std::size_t m = 0; m < operands.size(); ++m) {
+            std::int64_t wrapped = 0;
+            for (std::size_t j = 0; j < n; ++j) {
+                const std::size_t p = n - 1 - j;
+                c.delta[j][m] = operands[m].stride[c.level] +
+                                c.coeff[m][p] - wrapped;
+                wrapped += c.coeff[m][p] * (c.radix[p] - 1);
+            }
         }
     }
 }
@@ -102,6 +131,15 @@ AccessWalkPlan::clamped(std::size_t level) const
         if (c.level == level)
             return true;
     return false;
+}
+
+const WalkCarry *
+AccessWalkPlan::carryAt(std::size_t level) const
+{
+    for (const auto &c : carries)
+        if (c.level == level)
+            return &c;
+    return nullptr;
 }
 
 std::optional<AccessWalkPlan>
@@ -152,10 +190,21 @@ pickSplitLevel(const AccessWalkPlan &plan, std::size_t operand,
     for (std::size_t l = 0; l < plan.extents.size(); ++l)
         total_span +=
             std::abs(op.stride[l]) * (plan.extents[l] - 1);
+    // A carry's digits move the address on top of the strides, and
+    // its quotient level's stride omits the jump of the start digits.
+    std::vector<bool> digitDriven(plan.extents.size(), false);
+    for (const auto &c : plan.carries) {
+        for (std::size_t p = 0; p < c.radix.size(); ++p)
+            total_span += std::abs(c.coeff[operand][p]) * (c.radix[p] - 1);
+        digitDriven[c.level] = true;
+        if (c.quotientLevel >= 0)
+            digitDriven[static_cast<std::size_t>(c.quotientLevel)] = true;
+    }
     std::size_t limit =
         std::min(levelLimit, plan.extents.size());
     for (std::size_t l = 0; l < limit; ++l) {
-        if (plan.extents[l] < 2 || op.stride[l] == 0 || plan.clamped(l))
+        if (plan.extents[l] < 2 || op.stride[l] == 0 || plan.clamped(l) ||
+            digitDriven[l])
             continue;
         std::int64_t step = std::abs(op.stride[l]);
         std::int64_t others =

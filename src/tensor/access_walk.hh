@@ -20,6 +20,11 @@
  * (last level innermost), so floating-point accumulation is
  * bit-identical.
  *
+ * A fused group whose members' coefficients are not proportional to
+ * their digit strides walks as a carry level (WalkCarry): the tile's
+ * start digits are decoded once, and each step bumps the innermost
+ * digit, carries on a wrap and adds a precomputed address delta.
+ *
  * Parallel sweeps: pickSplitLevel() finds a loop level whose values
  * provably touch disjoint addresses of the accumulated operand (the
  * per-step address jump dominates the combined span of every other
@@ -141,6 +146,29 @@ struct WalkClamp
     std::int64_t limit = 1; ///< F_k
 };
 
+/**
+ * Carry level: a fused group's intrinsic counter t whose members are
+ * the mixed-radix digits of f = q * tile + t, where q is the absolute
+ * index of `quotientLevel` (0 without one). The members' address
+ * contribution sum_pos coeff[m][pos] * digit_pos is not linear in t,
+ * so it stays out of the level strides (which keep only the parts
+ * that are): the walker decodes the tile's start digits once per
+ * tile, then each step bumps the innermost digit, a wrap carries into
+ * the next digit, and every move adds a precomputed address delta.
+ */
+struct WalkCarry
+{
+    std::size_t level = 0;
+    int quotientLevel = -1; ///< -1: f starts at 0 in every tile
+    std::int64_t tile = 1;  ///< I
+    std::vector<std::int64_t> radix; ///< member extents, outermost first
+    std::vector<std::vector<std::int64_t>> coeff; ///< [operand][digit]
+    /// Filled by finalize(): delta[j][m] is operand m's address move
+    /// on a step that wraps the j innermost digits (level stride
+    /// included); delta[0] is the constant stride of a digit run.
+    std::vector<std::vector<std::int64_t>> delta;
+};
+
 /** A compiled loop nest: level extents + per-operand strides. */
 struct AccessWalkPlan
 {
@@ -149,8 +177,11 @@ struct AccessWalkPlan
     /// Clamped levels (at most one clamp per level); rollbacks and the
     /// address box are computed over the unclamped extents.
     std::vector<WalkClamp> clamps;
+    /// Carry levels (at most one per level, never a quotient level of
+    /// a clamp or a carry); the address box spans every digit value.
+    std::vector<WalkCarry> carries;
 
-    /** Fill rollbacks and min/max addresses from base/stride. */
+    /** Fill rollbacks, carry deltas and min/max addresses. */
     void finalize();
 
     /** Total number of inner-loop iterations (unclamped). */
@@ -158,6 +189,9 @@ struct AccessWalkPlan
 
     /** True iff `level` carries a clamp. */
     bool clamped(std::size_t level) const;
+
+    /** The carry of `level`, or nullptr. */
+    const WalkCarry *carryAt(std::size_t level) const;
 };
 
 /**
@@ -174,7 +208,8 @@ compileReferenceWalk(const TensorComputation &comp,
  * The first level (below levelLimit) whose per-step address jump on
  * `operand` dominates the combined span of all other levels — so
  * distinct values of that level touch provably disjoint addresses.
- * Clamped levels are never picked. Returns -1 when no level
+ * Clamped levels, carry levels and their quotient levels are never
+ * picked. Returns -1 when no level
  * qualifies (the sweep must stay serial).
  */
 int pickSplitLevel(const AccessWalkPlan &plan, std::size_t operand,
@@ -354,6 +389,235 @@ runFixed(const AccessWalkPlan &plan, int restrictLevel, std::int64_t lo,
     }
 }
 
+/**
+ * The walk of a plan with carry levels, for a fixed operand count N.
+ * All levels but the innermost form an odometer; the innermost level
+ * runs as constant-stride runs handed to the body whole (one run for
+ * a plain level, one per innermost-digit run for a carry level).
+ *
+ * A carry level keeps its members' digit contribution inside the
+ * operand addresses: entering a tile decodes the start digits of
+ * f = q * I (q read from the quotient level) and adds their
+ * contribution; a step adds delta[j] for its j wrapped digits; a wrap
+ * restores the address saved when the tile was entered. Clamps and
+ * empty-clamp subtree skips behave as in runFixed.
+ */
+template <std::size_t N, typename Body>
+inline void
+runCarried(const AccessWalkPlan &plan, int restrictLevel, std::int64_t lo,
+           std::int64_t hi, Body &body)
+{
+    const std::size_t L = plan.extents.size();
+    const std::size_t nops = plan.operands.size();
+    const std::size_t C = plan.carries.size();
+    std::int64_t a[kMaxWalkOperands] = {};
+    std::int64_t ext[kMaxWalkLevels];
+    std::int64_t idx[kMaxWalkLevels];
+    std::int64_t org[kMaxWalkLevels];
+    std::int64_t str[kMaxWalkLevels][N];
+    std::int64_t rb[kMaxWalkLevels][N];
+    int carryOf[kMaxWalkLevels];
+    // Digits of every carry, flattened: carry c owns [first[c],
+    // first[c + 1]), outermost digit first.
+    std::size_t first[kMaxWalkLevels + 1];
+    std::int64_t radix[kMaxWalkLevels], start[kMaxWalkLevels];
+    std::int64_t dig[kMaxWalkLevels];
+    std::int64_t coeff[kMaxWalkLevels][N], delta[kMaxWalkLevels][N];
+    std::int64_t cur[kMaxWalkLevels][N];   ///< start contribution in a
+    std::int64_t saved[kMaxWalkLevels][N]; ///< a at the tile's entry
+
+    for (std::size_t l = 0; l < L; ++l) {
+        const bool restricted = static_cast<int>(l) == restrictLevel;
+        ext[l] = restricted ? hi - lo : plan.extents[l];
+        org[l] = restricted ? lo : 0;
+        idx[l] = 0;
+        carryOf[l] = -1;
+        if (ext[l] <= 0)
+            return;
+        for (std::size_t m = 0; m < N; ++m) {
+            str[l][m] = m < nops ? plan.operands[m].stride[l] : 0;
+            rb[l][m] = str[l][m] * (ext[l] - 1);
+        }
+    }
+    for (std::size_t m = 0; m < nops; ++m) {
+        a[m] = plan.operands[m].base;
+        for (std::size_t l = 0; l < L; ++l)
+            a[m] += org[l] * str[l][m];
+    }
+    first[0] = 0;
+    for (std::size_t c = 0; c < C; ++c) {
+        const WalkCarry &w = plan.carries[c];
+        carryOf[w.level] = static_cast<int>(c);
+        const std::size_t n = w.radix.size();
+        for (std::size_t p = 0; p < n; ++p) {
+            const std::size_t d = first[c] + p;
+            radix[d] = w.radix[p];
+            for (std::size_t m = 0; m < N; ++m) {
+                coeff[d][m] = m < nops ? w.coeff[m][p] : 0;
+                delta[d][m] = m < nops ? w.delta[p][m] : 0;
+            }
+        }
+        for (std::size_t m = 0; m < N; ++m)
+            cur[c][m] = 0;
+        first[c + 1] = first[c] + n;
+    }
+
+    auto reclamp = [&](std::size_t d) {
+        for (const auto &c : plan.clamps) {
+            if (c.quotientLevel < d)
+                continue;
+            const std::int64_t q =
+                idx[c.quotientLevel] + org[c.quotientLevel];
+            const std::int64_t e =
+                std::min(plan.extents[c.level], c.limit - q * c.tile);
+            ext[c.level] = e;
+            for (std::size_t m = 0; m < N; ++m)
+                rb[c.level][m] = str[c.level][m] * (e - 1);
+        }
+    };
+    // Enter the tiles of every carry below level `moved` (all of them
+    // when moved < 0): re-decode the start digits of those whose
+    // quotient may have changed, and save the entry addresses.
+    auto enter = [&](int moved) {
+        for (std::size_t c = 0; c < C; ++c) {
+            const WalkCarry &w = plan.carries[c];
+            if (static_cast<int>(w.level) <= moved)
+                continue;
+            if (moved < 0 || w.quotientLevel >= moved) {
+                const std::size_t ql =
+                    static_cast<std::size_t>(std::max(w.quotientLevel, 0));
+                std::int64_t f = w.quotientLevel < 0
+                                     ? 0
+                                     : (idx[ql] + org[ql]) * w.tile;
+                std::int64_t contrib[N] = {};
+                for (std::size_t d = first[c + 1]; d-- > first[c];) {
+                    start[d] = f % radix[d];
+                    f /= radix[d];
+                    for (std::size_t m = 0; m < N; ++m)
+                        contrib[m] += coeff[d][m] * start[d];
+                }
+                for (std::size_t m = 0; m < N; ++m) {
+                    a[m] += contrib[m] - cur[c][m];
+                    cur[c][m] = contrib[m];
+                }
+            }
+            for (std::size_t d = first[c]; d < first[c + 1]; ++d)
+                dig[d] = start[d];
+        }
+        for (std::size_t c = 0; c < C; ++c)
+            if (static_cast<int>(plan.carries[c].level) > moved)
+                for (std::size_t m = 0; m < N; ++m)
+                    saved[c][m] = a[m];
+    };
+    // Bump carry c's digits: the innermost one steps, each wrap
+    // carries into the next. Returns the number of wrapped digits.
+    auto bump = [&](std::int64_t *digits, std::size_t c) {
+        std::size_t j = 0;
+        for (std::size_t d = first[c + 1] - 1;
+             ++digits[d] == radix[d] && d > first[c]; --d, ++j)
+            digits[d] = 0;
+        return j;
+    };
+    // One constant-stride run of n elements from r.
+    auto runSpan = [&](const std::int64_t *r, const std::int64_t *step,
+                       std::int64_t n) {
+        if constexpr (requires(const std::int64_t *p, std::int64_t k) {
+                          body.run(p, p, k);
+                      }) {
+            body.run(r, step, n);
+        } else {
+            std::int64_t e[kMaxWalkOperands] = {};
+            for (std::size_t m = 0; m < N; ++m)
+                e[m] = r[m];
+            for (std::int64_t i = n; i > 0; --i) {
+                body(static_cast<const std::int64_t *>(e));
+                for (std::size_t m = 0; m < N; ++m)
+                    e[m] += step[m];
+            }
+        }
+    };
+
+    if (L == 0) {
+        body(static_cast<const std::int64_t *>(a));
+        return;
+    }
+    reclamp(0);
+    enter(-1);
+
+    const std::size_t P = L - 1; ///< odometer levels
+    std::size_t odoClamps[kMaxWalkLevels];
+    std::size_t numOdoClamps = 0;
+    for (const auto &c : plan.clamps)
+        if (c.level < P)
+            odoClamps[numOdoClamps++] = c.level;
+    const int inner = carryOf[P];
+    std::int64_t innerStep[kMaxWalkOperands] = {};
+    for (std::size_t m = 0; m < N; ++m)
+        innerStep[m] = inner < 0 ? str[P][m] : delta[first[inner]][m];
+
+    while (true) {
+        std::size_t from = P;
+        for (std::size_t i = 0; i < numOdoClamps; ++i)
+            if (odoClamps[i] < from && ext[odoClamps[i]] <= 0)
+                from = odoClamps[i];
+        if (from == P && ext[P] > 0) {
+            if (inner < 0) {
+                runSpan(a, innerStep, ext[P]);
+            } else {
+                // Innermost-digit runs of the innermost carry level.
+                const std::size_t c = static_cast<std::size_t>(inner);
+                const std::size_t lastDigit = first[c + 1] - 1;
+                std::int64_t r[kMaxWalkOperands] = {};
+                std::int64_t d[kMaxWalkLevels];
+                for (std::size_t m = 0; m < N; ++m)
+                    r[m] = a[m];
+                for (std::size_t k = first[c]; k <= lastDigit; ++k)
+                    d[k] = start[k];
+                for (std::int64_t t = 0;;) {
+                    const std::int64_t n = std::min(
+                        radix[lastDigit] - d[lastDigit], ext[P] - t);
+                    runSpan(r, innerStep, n);
+                    t += n;
+                    if (t >= ext[P])
+                        break;
+                    d[lastDigit] += n - 1;
+                    const std::size_t j = bump(d, c);
+                    for (std::size_t m = 0; m < N; ++m)
+                        r[m] += (n - 1) * innerStep[m] +
+                                delta[first[c] + j][m];
+                }
+            }
+        }
+
+        // Advance the odometer over levels [0, from).
+        std::size_t d = from;
+        while (true) {
+            if (d == 0)
+                return;
+            --d;
+            const int c = carryOf[d];
+            if (++idx[d] < ext[d]) {
+                if (c < 0) {
+                    for (std::size_t m = 0; m < N; ++m)
+                        a[m] += str[d][m];
+                } else {
+                    const std::size_t j =
+                        bump(dig, static_cast<std::size_t>(c));
+                    for (std::size_t m = 0; m < N; ++m)
+                        a[m] += delta[first[c] + j][m];
+                }
+                break;
+            }
+            idx[d] = 0;
+            for (std::size_t m = 0; m < N; ++m)
+                a[m] = c < 0 ? a[m] - rb[d][m] : saved[c][m];
+        }
+        if (!plan.clamps.empty())
+            reclamp(d);
+        enter(static_cast<int>(d));
+    }
+}
+
 /** The arity a body declares through a static kOperands, or 0. */
 template <typename Body>
 constexpr std::size_t
@@ -388,8 +652,8 @@ withArity(Fn fn)
 
 /**
  * Serial stride walk with one level optionally restricted to
- * [lo, hi) (absolute indices; a restricted level must not be
- * clamped). Body is called once per index tuple, in interpreter
+ * [lo, hi) (absolute indices; a restricted level must be neither
+ * clamped nor a carry level). Body is called once per index tuple, in interpreter
  * (odometer) order, with the operand address array. The operand
  * count is dispatched once to a fixed-arity walk; a body that
  * declares its count (kOperands) instantiates only that arity.
@@ -406,29 +670,36 @@ runAccessWalkRange(const AccessWalkPlan &plan, int restrictLevel,
             nops, " operands)");
     require(restrictLevel < 0 ||
                 (static_cast<std::size_t>(restrictLevel) < nlev &&
-                 !plan.clamped(static_cast<std::size_t>(restrictLevel))),
+                 !plan.clamped(static_cast<std::size_t>(restrictLevel)) &&
+                 !plan.carryAt(static_cast<std::size_t>(restrictLevel))),
             "runAccessWalkRange: cannot restrict level ", restrictLevel);
     using B = std::remove_cvref_t<Body>;
+    // Plans without carry levels take the inner-block walk.
+    auto walk = [&]<std::size_t N>() {
+        if (plan.carries.empty())
+            walk_detail::runFixed<N>(plan, restrictLevel, lo, hi, body);
+        else
+            walk_detail::runCarried<N>(plan, restrictLevel, lo, hi,
+                                       body);
+    };
     if constexpr (walk_detail::declaredArity<B>() != 0) {
         require(nops == B::kOperands, "runAccessWalkRange: body takes ",
                 B::kOperands, " operands, plan has ", nops);
-        walk_detail::runFixed<walk_detail::declaredArity<B>()>(
-            plan, restrictLevel, lo, hi, body);
+        walk.template operator()<walk_detail::declaredArity<B>()>();
         return;
     }
     switch (walk_detail::walkArity(nops)) {
       case 2:
-        walk_detail::runFixed<2>(plan, restrictLevel, lo, hi, body);
+        walk.template operator()<2>();
         return;
       case 3:
-        walk_detail::runFixed<3>(plan, restrictLevel, lo, hi, body);
+        walk.template operator()<3>();
         return;
       case 4:
-        walk_detail::runFixed<4>(plan, restrictLevel, lo, hi, body);
+        walk.template operator()<4>();
         return;
       default:
-        walk_detail::runFixed<kMaxWalkOperands>(plan, restrictLevel, lo,
-                                                hi, body);
+        walk.template operator()<kMaxWalkOperands>();
         return;
     }
 }
@@ -483,11 +754,8 @@ struct WalkRunStats
     int threadsUsed = 1;
     int splitLevel = -1; ///< -1 when the sweep ran serially
     /// Mapped sweeps (direct, pack, unpack) that ran as a lowered
-    /// AccessWalkPlan, and those left to the per-tile digit odometer
-    /// because a fused group is not linear. Both stay 0 for the
-    /// reference nest, which is an affine walk by construction.
+    /// AccessWalkPlan; 0 for the reference nest.
     int loweredSweeps = 0;
-    int tiledSweeps = 0;
 };
 
 class TraceSpan;
@@ -498,8 +766,8 @@ class TraceSpan;
  * exec.parallel_runs or — when more than one thread was requested but
  * no provably disjoint split level exists — exec.parallel_unsplittable.
  * The walker that ran goes to the `walk_form` span argument ("affine"
- * for the reference nest, else "lowered", "tiled" or "mixed") and to
- * the exec.walk_lowered_runs / exec.walk_tiled_runs sweep counters.
+ * for the reference nest, "lowered" for a mapped plan) and to the
+ * exec.walk_lowered_runs sweep counter.
  */
 void noteWalkRun(TraceSpan &span, const WalkRunStats &stats,
                  int requestedThreads);

@@ -6,20 +6,20 @@ namespace amos {
 
 namespace {
 
-std::atomic<const ReferenceJitHook *> g_referenceHook{nullptr};
+std::atomic<const JitHooks *> g_hooks{nullptr};
 
 } // namespace
 
 void
-setReferenceJitHook(const ReferenceJitHook *hook)
+setJitHooks(const JitHooks *hooks)
 {
-    g_referenceHook.store(hook, std::memory_order_release);
+    g_hooks.store(hooks, std::memory_order_release);
 }
 
-const ReferenceJitHook *
-referenceJitHook()
+const JitHooks *
+jitHooks()
 {
-    return g_referenceHook.load(std::memory_order_acquire);
+    return g_hooks.load(std::memory_order_acquire);
 }
 
 } // namespace amos

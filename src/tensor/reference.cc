@@ -116,13 +116,14 @@ referenceExecute(const TensorComputation &comp,
                     walkFitsBuffers(*plan, comp, inputs, output, &why);
 
         if (engine == ExecEngine::Jit) {
-            const ReferenceJitHook *hook = referenceJitHook();
+            const JitHooks *hooks = jitHooks();
             std::string jitWhy;
             if (!fits)
                 jitWhy = why;
-            else if (!hook || !hook->run)
+            else if (!hooks || !hooks->runReference)
                 jitWhy = "jit tier not linked";
-            else if (hook->run(comp, *plan, inputs, output, &jitWhy)) {
+            else if (hooks->runReference(comp, *plan, inputs, output,
+                                         &jitWhy)) {
                 metrics.counter("exec.jit_runs").add();
                 span.arg("engine", "jit");
                 report.engine = "jit";

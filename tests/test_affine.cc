@@ -13,6 +13,7 @@
 #include "mapping/exec_plan.hh"
 #include "mapping/execute.hh"
 #include "mapping/generate.hh"
+#include "ops/config_suite.hh"
 #include "ops/operators.hh"
 #include "support/metrics.hh"
 #include "tensor/access_walk.hh"
@@ -238,6 +239,150 @@ TEST(Walk, EmptyClampSkipsItsSubtree)
     EXPECT_EQ(expected.size(), 24u);
 }
 
+/**
+ * Brute-force tuples of a walk plan: every index tuple in
+ * lexicographic order, clamped levels cut at min(extent,
+ * limit - q * tile), carry digits decoded from f = q * tile + t with
+ * % and /.
+ */
+std::vector<std::vector<std::int64_t>>
+bruteForceTuples(const AccessWalkPlan &plan, int restrictLevel = -1,
+                 std::int64_t lo = 0, std::int64_t hi = 0)
+{
+    std::vector<std::int64_t> extents = plan.extents;
+    if (restrictLevel >= 0)
+        extents[static_cast<std::size_t>(restrictLevel)] = hi - lo;
+    std::vector<std::vector<std::int64_t>> out;
+    forEachIndexDelta(extents, [&](const std::vector<std::int64_t> &rel,
+                                   std::size_t) {
+        std::vector<std::int64_t> idx = rel;
+        if (restrictLevel >= 0)
+            idx[static_cast<std::size_t>(restrictLevel)] += lo;
+        for (const auto &c : plan.clamps)
+            if (idx[c.level] >= c.limit - idx[c.quotientLevel] * c.tile)
+                return;
+        std::vector<std::int64_t> addr;
+        for (std::size_t m = 0; m < plan.operands.size(); ++m) {
+            std::int64_t a = plan.operands[m].base;
+            for (std::size_t l = 0; l < idx.size(); ++l)
+                a += plan.operands[m].stride[l] * idx[l];
+            for (const auto &c : plan.carries) {
+                const std::int64_t q =
+                    c.quotientLevel < 0
+                        ? 0
+                        : idx[static_cast<std::size_t>(c.quotientLevel)];
+                std::int64_t f = q * c.tile + idx[c.level];
+                for (std::size_t p = c.radix.size(); p-- > 0;) {
+                    a += c.coeff[m][p] * (f % c.radix[p]);
+                    f /= c.radix[p];
+                }
+            }
+            addr.push_back(a);
+        }
+        out.push_back(std::move(addr));
+    });
+    return out;
+}
+
+/** A body taking innermost runs whole, recording each element. */
+struct RunRecorder
+{
+    std::size_t nops;
+    std::vector<std::vector<std::int64_t>> *out;
+    void operator()(const std::int64_t *a) const
+    {
+        out->emplace_back(a, a + nops);
+    }
+    void run(const std::int64_t *a, const std::int64_t *step,
+             std::int64_t n) const
+    {
+        for (std::int64_t i = 0; i < n; ++i) {
+            out->emplace_back();
+            for (std::size_t m = 0; m < nops; ++m)
+                out->back().push_back(a[m] + i * step[m]);
+        }
+    }
+};
+
+TEST(Walk, CarryLevelsStepTheMixedRadixDigits)
+{
+    // A fused group of two digits (radix 3, 3: F = 9) under an
+    // intrinsic extent I = 4, walked as a carry level: innermost with
+    // a quotient and a clamped tail, on an odometer level above an
+    // inner plain level, and without a quotient. Per-element and
+    // whole-run bodies must both visit the brute-force tuples, over
+    // the full nest and over restricted ranges of the other levels.
+    auto carryOf = [](std::size_t level, int quotient,
+                      std::vector<std::vector<std::int64_t>> coeff) {
+        WalkCarry c;
+        c.level = level;
+        c.quotientLevel = quotient;
+        c.tile = 4;
+        c.radix = {3, 3};
+        c.coeff = std::move(coeff);
+        return c;
+    };
+    std::vector<AccessWalkPlan> plans(3);
+    // [q:3][x:2][t:4], t carried and clamped on q.
+    plans[0].extents = {3, 2, 4};
+    plans[0].operands.resize(3);
+    plans[0].operands[0].base = 7;
+    plans[0].operands[0].stride = {10000, 1000, 0};
+    plans[0].operands[1].stride = {16, 0, 1}; // a packed-tile stream
+    plans[0].operands[2].stride = {0, 5, 0};
+    plans[0].clamps = {{2, 0, 4, 9}};
+    plans[0].carries = {carryOf(2, 0, {{10, 1}, {0, 0}, {2, -1}})};
+    // [q:3][t:4][u:2], the carry on an odometer level.
+    plans[1].extents = {3, 4, 2};
+    plans[1].operands.resize(2);
+    plans[1].operands[0].stride = {1000, 0, 1};
+    plans[1].operands[1].stride = {0, 3, 0};
+    plans[1].clamps = {{1, 0, 4, 9}};
+    plans[1].carries = {carryOf(1, 0, {{100, 10}, {-7, 2}})};
+    // [x:2][t:4] with no quotient: f = t < min(I, F).
+    plans[2].extents = {2, 4};
+    plans[2].operands.resize(2);
+    plans[2].operands[0].stride = {100, 0};
+    plans[2].operands[1].stride = {0, 1};
+    plans[2].carries = {carryOf(1, -1, {{10, 1}, {0, 0}})};
+
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        SCOPED_TRACE("plan " + std::to_string(i));
+        AccessWalkPlan &plan = plans[i];
+        plan.finalize();
+        auto check = [&](int level, std::int64_t lo, std::int64_t hi) {
+            const auto expected = bruteForceTuples(plan, level, lo, hi);
+            EXPECT_EQ(walkedTuples(plan, level, lo, hi), expected)
+                << "level " << level << " [" << lo << ", " << hi << ")";
+            std::vector<std::vector<std::int64_t>> runs;
+            runAccessWalkRange(plan, level, lo, hi,
+                               RunRecorder{plan.operands.size(), &runs});
+            EXPECT_EQ(runs, expected);
+        };
+        check(-1, 0, 0);
+        EXPECT_FALSE(bruteForceTuples(plan).empty());
+        for (std::size_t l = 0; l < plan.extents.size(); ++l) {
+            if (plan.clamped(l) || plan.carryAt(l))
+                continue;
+            const int level = static_cast<int>(l);
+            for (std::int64_t mid = 0; mid <= plan.extents[l]; ++mid) {
+                check(level, 0, mid);
+                check(level, mid, plan.extents[l]);
+            }
+        }
+    }
+    // The carry's digits widen the address box: op 2 of plan 0 spans
+    // 2 * d0 - d1 over d0, d1 in [0, 2] plus 5 * x.
+    EXPECT_EQ(plans[0].operands[2].minAddr, -2);
+    EXPECT_EQ(plans[0].operands[2].maxAddr, 4 + 5);
+    // Carry levels and their quotient levels are never split: q's
+    // stride on op 0 would dominate, but q also moves the digits.
+    EXPECT_EQ(pickSplitLevel(plans[0], 0, 3), -1);
+    // Without a quotient, an outer level's step must dominate the
+    // digits' span too: 100 > 10 * 2 + 1 * 2.
+    EXPECT_EQ(pickSplitLevel(plans[2], 0, 2), 0);
+}
+
 TEST(Walk, EveryArityVisitsTheSameTuples)
 {
     // Operand counts 1..6 dispatch to arities 2, 3, 4 and 6; the
@@ -372,7 +517,7 @@ TEST(Walk, InPlaceOutputKeepsTheInterpreterOrder)
     auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
     ASSERT_FALSE(plans.empty());
     ASSERT_TRUE(
-        ExecPlan(plans[0]).lowered(ExecPlan::Sweep::Direct).has_value());
+        ExecPlan(plans[0]).lowered(ExecPlan::Sweep::Direct).carries.empty());
     ExecOptions interp;
     interp.engine = ExecEngine::Interpreter;
     ExecOptions walk;
@@ -436,15 +581,77 @@ sweepCorpus()
             ops::makeScan(3, 5)};
 }
 
+/**
+ * Brute-force address oracle of one mapped sweep: every (axes,
+ * counters) tuple in lexicographic order, with `restrictAxis`
+ * confined to [lo, hi); each group's fused value q * I + t decoded
+ * into member digits with % and /, and padding tuples (f >= F)
+ * skipped.
+ */
+std::vector<std::vector<std::int64_t>>
+oracleAddresses(const ExecPlan &ep, ExecPlan::Sweep sweep,
+                int restrictAxis = -1, std::int64_t lo = 0,
+                std::int64_t hi = 0)
+{
+    const auto ops = ep.sweepOperands(sweep);
+    const auto &axes = ep.axes();
+    const auto &groups = ep.groups();
+    const std::size_t A = axes.size();
+    auto at = [](const std::vector<std::int64_t> &v, std::size_t i) {
+        return i < v.size() ? v[i] : std::int64_t{0};
+    };
+    std::vector<std::int64_t> extents;
+    for (std::size_t a = 0; a < A; ++a)
+        extents.push_back(static_cast<int>(a) == restrictAxis
+                              ? hi - lo
+                              : axes[a].extent);
+    for (const auto &g : groups)
+        extents.push_back(g.intrinsicExtent);
+    std::vector<std::vector<std::int64_t>> out;
+    forEachIndexDelta(extents, [&](const std::vector<std::int64_t> &idx,
+                                   std::size_t) {
+        std::vector<std::int64_t> sw(ep.iterExtents().size(), 0);
+        std::vector<std::int64_t> x(A), q(groups.size(), 0);
+        for (std::size_t a = 0; a < A; ++a) {
+            x[a] = idx[a] + (static_cast<int>(a) == restrictAxis ? lo : 0);
+            (axes[a].isQuotient ? q : sw)[axes[a].ref] = x[a];
+        }
+        for (std::size_t k = 0; k < groups.size(); ++k) {
+            const auto &g = groups[k];
+            std::int64_t f = q[k] * g.intrinsicExtent + idx[A + k];
+            if (f >= g.fusedExtent)
+                return;
+            for (std::size_t pos = g.members.size(); pos-- > 0;) {
+                sw[g.members[pos]] = f % g.extents[pos];
+                f /= g.extents[pos];
+            }
+        }
+        std::vector<std::int64_t> addr;
+        for (const auto *op : ops) {
+            std::int64_t v = op->base;
+            for (std::size_t s = 0; s < sw.size(); ++s)
+                v += at(op->swCoeff, s) * sw[s];
+            for (std::size_t a = 0; a < A; ++a)
+                v += at(op->outerStride, a) * x[a];
+            for (std::size_t k = 0; k < groups.size(); ++k)
+                v += at(op->tStride, k) * idx[A + k];
+            addr.push_back(v);
+        }
+        out.push_back(std::move(addr));
+    });
+    return out;
+}
+
 TEST(ExecPlan, LoweredSweepsVisitTheTiledOdometersAddresses)
 {
     // Each lowered sweep (direct, pack, unpack) must visit exactly the
-    // per-tile digit odometer's address tuples, in the same order,
-    // over the whole nest and over restricted outer-axis ranges —
-    // including quotient ranges that start mid-axis and end in a
-    // clamped tail. The corpus must exercise every lowering case.
-    int padded = 0, empty = 0, fusedLinear = 0, nonLinear = 0,
-        midAxisClamped = 0;
+    // brute-force oracle's address tuples — the per-tile digit decode
+    // of every (axes, counters) tuple — in the same order, over the
+    // whole nest and over restricted outer-axis ranges, including
+    // quotient ranges that start mid-axis and end in a clamped tail
+    // or in a carried tile. The corpus must exercise every case.
+    int padded = 0, empty = 0, single = 0, fusedLinear = 0, carried = 0,
+        midAxisClamped = 0, midAxisCarried = 0;
     const ExecPlan::Sweep sweeps[] = {ExecPlan::Sweep::Direct,
                                       ExecPlan::Sweep::Pack,
                                       ExecPlan::Sweep::Unpack};
@@ -453,58 +660,58 @@ TEST(ExecPlan, LoweredSweepsVisitTheTiledOdometersAddresses)
             SCOPED_TRACE(plan.mapping().signature(comp));
             ExecPlan ep(plan);
             ASSERT_TRUE(ep.compiled()) << ep.fallbackReason();
-            const bool directLowered =
-                ep.lowered(ExecPlan::Sweep::Direct).has_value();
             for (const auto &g : ep.groups()) {
-                if (!directLowered) {
-                    ++nonLinear;
-                    break;
-                }
                 padded += g.fusedExtent % g.intrinsicExtent != 0;
                 empty += g.members.empty();
-                fusedLinear += g.members.size() > 1;
+                single += g.members.size() == 1;
             }
             for (auto sweep : sweeps) {
-                const auto tiled = ep.sweepAddresses(sweep, true);
-                if (!ep.lowered(sweep))
-                    continue;
-                EXPECT_EQ(ep.sweepAddresses(sweep, false), tiled);
+                const AccessWalkPlan walk = ep.lowered(sweep);
+                for (std::size_t k = 0; k < ep.groups().size(); ++k) {
+                    const bool isCarry = walk.carryAt(ep.axes().size() + k);
+                    carried += isCarry;
+                    fusedLinear +=
+                        !isCarry && ep.groups()[k].members.size() > 1;
+                }
+                EXPECT_EQ(ep.sweepAddresses(sweep), oracleAddresses(ep, sweep));
                 for (std::size_t a = 0; a < ep.axes().size(); ++a) {
                     const auto &ax = ep.axes()[a];
                     const std::int64_t mid = ax.extent / 2;
                     const int axis = static_cast<int>(a);
-                    EXPECT_EQ(
-                        ep.sweepAddresses(sweep, false, axis, mid,
-                                          ax.extent),
-                        ep.sweepAddresses(sweep, true, axis, mid,
-                                          ax.extent))
+                    EXPECT_EQ(ep.sweepAddresses(sweep, axis, mid, ax.extent),
+                              oracleAddresses(ep, sweep, axis, mid,
+                                              ax.extent))
                         << "axis " << a << " from " << mid;
-                    EXPECT_EQ(
-                        ep.sweepAddresses(sweep, false, axis, 0, mid),
-                        ep.sweepAddresses(sweep, true, axis, 0, mid))
+                    EXPECT_EQ(ep.sweepAddresses(sweep, axis, 0, mid),
+                              oracleAddresses(ep, sweep, axis, 0, mid))
                         << "axis " << a << " to " << mid;
                     const auto &g = ep.groups()[ax.ref];
                     midAxisClamped +=
                         ax.isQuotient && mid > 0 &&
                         g.fusedExtent % g.intrinsicExtent != 0;
+                    midAxisCarried +=
+                        ax.isQuotient && mid > 0 &&
+                        walk.carryAt(ep.axes().size() + ax.ref);
                 }
             }
         }
     }
     EXPECT_GT(padded, 0);
     EXPECT_GT(empty, 0);
+    EXPECT_GT(single, 0);
     EXPECT_GT(fusedLinear, 0);
-    EXPECT_GT(nonLinear, 0);
+    EXPECT_GT(carried, 0);
     EXPECT_GT(midAxisClamped, 0);
+    EXPECT_GT(midAxisCarried, 0);
 }
 
-TEST(ExecPlan, NonLinearFusedGroupTakesTheTiledWalker)
+TEST(ExecPlan, NonLinearFusedGroupLowersToACarryLevel)
 {
     // conv2d fusing the output rows and columns: the input's
     // coefficients on (p, q) are (W_in, 1), not proportional to the
-    // digit strides (Q, 1), so the direct and pack sweeps cannot be
-    // written as strides and stay on the digit odometer; the unpack
-    // sweep (output only) still lowers. Results stay bit-identical.
+    // digit strides (Q, 1), so the direct and pack sweeps carry the
+    // group's digits in a carry level. Results stay bit-identical at
+    // any thread count, and every sweep runs lowered.
     ops::ConvParams pr;
     pr.batch = 1;
     pr.in_channels = 2;
@@ -517,16 +724,18 @@ TEST(ExecPlan, NonLinearFusedGroupTakesTheTiledWalker)
     bool found = false;
     for (const auto &plan : enumeratePlans(conv, isa::wmmaTiny(), {})) {
         ExecPlan ep(plan);
-        if (ep.lowered(ExecPlan::Sweep::Direct))
+        if (ep.lowered(ExecPlan::Sweep::Direct).carries.empty())
             continue;
         found = true;
         SCOPED_TRACE(plan.mapping().signature(conv));
-        EXPECT_FALSE(ep.lowered(ExecPlan::Sweep::Pack).has_value());
-        auto &tiled =
-            MetricsRegistry::global().counter("exec.walk_tiled_runs");
-        const std::uint64_t before = tiled.value();
-        EXPECT_EQ(compiledVsInterpreterError(plan, 5, 1), 0.0f);
-        EXPECT_GE(tiled.value(), before + 2);
+        EXPECT_FALSE(ep.lowered(ExecPlan::Sweep::Pack).carries.empty());
+        auto &lowered =
+            MetricsRegistry::global().counter("exec.walk_lowered_runs");
+        const std::uint64_t before = lowered.value();
+        for (int threads : {1, 2, 4})
+            EXPECT_EQ(compiledVsInterpreterError(plan, 5, threads), 0.0f)
+                << threads << " threads";
+        EXPECT_EQ(lowered.value(), before + 3 * 3);
     }
     EXPECT_TRUE(found);
 }
@@ -554,6 +763,75 @@ TEST(ExecPlan, MutatedAccessFallsBackWithReason)
     std::uint64_t before = fallback.value();
     EXPECT_EQ(compiledVsInterpreterError(plan), 0.0f);
     EXPECT_EQ(fallback.value(), before + 2); // direct + packed
+}
+
+TEST(Bounds, EveryC2DMappingProvablyInBounds)
+{
+    // ExecPlan's operand and packed-stream address boxes are the
+    // bounds proof: every permissive C2D mapping must compile.
+    ops::ConvParams pr;
+    pr.batch = 2;
+    pr.in_channels = 2;
+    pr.out_channels = 4;
+    pr.out_h = 2;
+    pr.out_w = 3;
+    pr.kernel_h = 2;
+    pr.kernel_w = 2;
+    auto conv = ops::makeConv2d(pr);
+    auto plans = enumeratePlans(conv, isa::wmmaTiny(),
+                                {LegalityPolicy::Permissive, 0});
+    ASSERT_FALSE(plans.empty());
+    for (const auto &plan : plans) {
+        ExecPlan ep(plan);
+        EXPECT_TRUE(ep.compiled())
+            << plan.mapping().signature(conv) << ": "
+            << ep.fallbackReason();
+    }
+}
+
+TEST(Bounds, FullConfigSuiteProvablyInBounds)
+{
+    // The boxes cover the whole iteration domain without executing
+    // anything, so the real-size 113-configuration suite is cheap to
+    // prove. One mapping per configuration.
+    auto intr = isa::wmma(16, 16, 16);
+    for (const auto &entry : ops::configSuite()) {
+        auto comp = entry.build(1);
+        GeneratorOptions one;
+        one.maxCandidates = 1;
+        auto mappings = enumerateMappings(comp, intr, one);
+        ASSERT_FALSE(mappings.empty()) << entry.label;
+        MappingPlan plan(comp, intr, mappings.front());
+        ASSERT_TRUE(plan.valid()) << entry.label;
+        ExecPlan ep(plan);
+        EXPECT_TRUE(ep.compiled()) << entry.label << ": "
+                                   << ep.fallbackReason();
+    }
+}
+
+TEST(Bounds, RejectsInvalidPlans)
+{
+    // An invalid mapping and an access past its tensor's end both
+    // fail closed with a named reason.
+    auto gemm = ops::makeGemm(4, 4, 4);
+    ComputeMapping m;
+    m.groups = {{0, 1}, {}, {2}};
+    MappingPlan invalid(gemm, isa::wmmaTiny(), m);
+    ASSERT_FALSE(invalid.valid());
+    EXPECT_EQ(ExecPlan(invalid).fallbackReason(),
+              "mapping plan failed validation");
+
+    auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
+    ASSERT_EQ(plans.size(), 1u);
+    auto shifted = gemm.withMutatedInputIndex(
+        0, 1, Expr(gemm.iters()[2].var) + 1);
+    MappingPlan past(shifted, isa::wmmaTiny(), plans[0].mapping());
+    ASSERT_TRUE(past.valid());
+    ExecPlan ep(past);
+    EXPECT_FALSE(ep.compiled());
+    EXPECT_NE(ep.fallbackReason().find("exceeds declared size 16"),
+              std::string::npos)
+        << ep.fallbackReason();
 }
 
 } // namespace

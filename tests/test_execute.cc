@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "amos/amos.hh"
 #include "explore/tuner.hh"
 #include "hw/hardware.hh"
 #include "isa/intrinsics.hh"
+#include "jit/jit.hh"
 #include "mapping/exec_plan.hh"
 #include "mapping/execute.hh"
 #include "mapping/generate.hh"
@@ -269,8 +271,6 @@ TEST(LoweredWalk, BenchmarkKernelsLowerEverySweep)
          {ops::makeQuantizedConv2d(conv), isa::maliDot()}};
     auto &lowered =
         MetricsRegistry::global().counter("exec.walk_lowered_runs");
-    auto &tiled =
-        MetricsRegistry::global().counter("exec.walk_tiled_runs");
     int padded = 0;
     for (const auto &[comp, intr] : kernels) {
         SCOPED_TRACE(comp.name());
@@ -278,9 +278,10 @@ TEST(LoweredWalk, BenchmarkKernelsLowerEverySweep)
         ASSERT_FALSE(plans.empty());
         ExecPlan ep(plans[0]);
         ASSERT_TRUE(ep.compiled()) << ep.fallbackReason();
+        // Linear groups only: the walker's inner-block form runs.
         for (auto sweep : {ExecPlan::Sweep::Direct, ExecPlan::Sweep::Pack,
                            ExecPlan::Sweep::Unpack})
-            EXPECT_TRUE(ep.lowered(sweep).has_value());
+            EXPECT_TRUE(ep.lowered(sweep).carries.empty());
         for (const auto &g : ep.groups())
             if (g.fusedExtent % g.intrinsicExtent != 0) {
                 ++padded;
@@ -295,13 +296,11 @@ TEST(LoweredWalk, BenchmarkKernelsLowerEverySweep)
         walk.engine = ExecEngine::Walk;
         Buffer direct(comp.output()), packed(comp.output());
         const std::uint64_t loweredBefore = lowered.value();
-        const std::uint64_t tiledBefore = tiled.value();
         EXPECT_EQ(executeMappedDirect(plans[0], ptrs, direct, walk).engine,
                   "walk");
         EXPECT_EQ(executeMappedPacked(plans[0], ptrs, packed, walk).engine,
                   "walk");
         EXPECT_EQ(lowered.value(), loweredBefore + 3);
-        EXPECT_EQ(tiled.value(), tiledBefore);
         EXPECT_EQ(direct.maxAbsDiff(packed), 0.0f);
     }
     EXPECT_EQ(padded, 3);
@@ -318,7 +317,7 @@ TEST(LoweredWalk, ThreadCountNeverChangesPaddedResults)
     ASSERT_FALSE(plans.empty());
     const auto &plan = plans[0];
     ExecPlan ep(plan);
-    ASSERT_TRUE(ep.lowered(ExecPlan::Sweep::Direct).has_value());
+    ASSERT_TRUE(ep.lowered(ExecPlan::Sweep::Direct).carries.empty());
     ASSERT_GE(ep.directSplitAxis(), 0);
     EXPECT_TRUE(ep.axes()[static_cast<std::size_t>(ep.directSplitAxis())]
                     .isQuotient);
@@ -342,6 +341,46 @@ TEST(LoweredWalk, ThreadCountNeverChangesPaddedResults)
         EXPECT_EQ(direct0.maxAbsDiff(direct), 0.0f) << threads;
         EXPECT_EQ(packed0.maxAbsDiff(packed), 0.0f) << threads;
         EXPECT_EQ(report.threadsUsed, threads);
+    }
+}
+
+TEST(LoweredWalk, TunedWinnersBitExactOnWalkAndJit)
+{
+    // The tuner's convolution winners fuse iterators whose input
+    // coefficients are not proportional to the digit strides (the
+    // default CLI conv2d picks [c,r,s] -> (c*9 + r*3 + s) % 16), so
+    // their sweeps lower with carry levels. Each winner must match the
+    // interpreter bit for bit on the walk at 1, 2 and 4 threads and on
+    // the JIT tier.
+    ConvParams pr{1, 8, 16, 6, 6, 3, 3, 1, 1, DataType::F16};
+    TuneOptions options;
+    options.generations = 2;
+    options.population = 8;
+    options.measureTopK = 2;
+    options.exploitSteps = 0;
+    const Compiler compiler(hw::v100(), options);
+    for (const auto &comp :
+         {ops::makeConv2d(pr), ops::makeConv3d(pr, 2, 2),
+          ops::makeDepthwiseConv2d(pr, 2)}) {
+        SCOPED_TRACE(comp.name());
+        const auto result = compiler.compile(comp);
+        ASSERT_TRUE(result.tensorized && result.tuning.bestPlan);
+        const MappingPlan &plan = *result.tuning.bestPlan;
+        SCOPED_TRACE(plan.mapping().signature(comp));
+        const ExecPlan ep(plan);
+        ASSERT_TRUE(ep.compiled()) << ep.fallbackReason();
+        EXPECT_FALSE(ep.lowered(ExecPlan::Sweep::Direct).carries.empty());
+        for (int threads : {1, 2, 4})
+            EXPECT_EQ(compiledVsInterpreterError(plan, 11, threads), 0.0f)
+                << threads << " threads";
+        ExecReport direct, packed;
+        EXPECT_EQ(engineVsInterpreterError(plan, ExecEngine::Jit, 11,
+                                           &direct, &packed),
+                  0.0f);
+        if (JitEngine::global().compilerAvailable()) {
+            EXPECT_EQ(direct.engine, "jit") << direct.jitFallback;
+            EXPECT_EQ(packed.engine, "jit") << packed.jitFallback;
+        }
     }
 }
 

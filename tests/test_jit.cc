@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -50,6 +53,14 @@ scratchOptions(const std::string &tag)
     opts.cacheDir = ::testing::TempDir() + "amos-jit-" + tag;
     std::filesystem::remove_all(opts.cacheDir);
     return opts;
+}
+
+/** A kernel's cache path without its `.so` suffix. */
+std::string
+cachePathStem(const JitEngine &engine, const std::string &source)
+{
+    const std::string so = engine.cachePathFor(source);
+    return so.substr(0, so.size() - 3);
 }
 
 /** A tiny valid kernel, salted so each test owns its cache key. */
@@ -116,25 +127,36 @@ class JitOperatorDifferential
 TEST_P(JitOperatorDifferential, MappedPathsBitIdentical)
 {
     // The JIT tier must reproduce the scalar interpreter bit for bit
-    // on both mapped paths. Without a compiler the tier degrades to
-    // the stride walk — the differential still holds, only the
-    // reported engine changes.
+    // on both mapped paths, for the first plan and for the first one
+    // whose direct sweep has a carry level. Without a compiler the
+    // tier degrades to the stride walk — the differential still
+    // holds, only the reported engine changes.
     TensorComputation comp = makeSmallOp(GetParam());
     auto plans = enumeratePlans(comp, isa::wmmaTiny(), {});
     ASSERT_GT(plans.size(), 0u);
-    SCOPED_TRACE(plans[0].mapping().signature(comp));
-
-    ExecReport direct, packed;
-    EXPECT_EQ(engineVsInterpreterError(plans[0], ExecEngine::Jit, 7,
-                                       &direct, &packed),
-              0.0f);
-    if (jitCompilerUsable()) {
-        EXPECT_EQ(direct.engine, "jit") << direct.jitFallback;
-        EXPECT_EQ(packed.engine, "jit") << packed.jitFallback;
-    } else {
-        EXPECT_EQ(direct.engine, "walk");
-        EXPECT_EQ(packed.engine, "walk");
-        EXPECT_NE(direct.jitFallback, "");
+    std::vector<const MappingPlan *> picked = {&plans[0]};
+    for (const auto &plan : plans) {
+        const ExecPlan ep(plan);
+        if (ep.compiled() &&
+            !ep.lowered(ExecPlan::Sweep::Direct).carries.empty()) {
+            picked.push_back(&plan);
+            break;
+        }
+    }
+    for (const MappingPlan *plan : picked) {
+        SCOPED_TRACE(plan->mapping().signature(comp));
+        ExecReport direct, packed;
+        EXPECT_EQ(engineVsInterpreterError(*plan, ExecEngine::Jit, 7,
+                                           &direct, &packed),
+                  0.0f);
+        if (jitCompilerUsable()) {
+            EXPECT_EQ(direct.engine, "jit") << direct.jitFallback;
+            EXPECT_EQ(packed.engine, "jit") << packed.jitFallback;
+        } else {
+            EXPECT_EQ(direct.engine, "walk");
+            EXPECT_EQ(packed.engine, "walk");
+            EXPECT_NE(direct.jitFallback, "");
+        }
     }
 }
 
@@ -255,12 +277,18 @@ TEST(JitCodegen, TypedKernelsMatchStorageLanes)
     EXPECT_NE(bsrc.find("float *restrict out"), std::string::npos);
 }
 
+/** FNV-1a of the kernel texts emitted for one computation. */
+struct EmittedHashes
+{
+    std::uint64_t reference = 0; ///< the reference walk kernel
+    std::uint64_t mapped = 0; ///< direct + packed kernel of each plan
+};
+
 /**
- * FNV-1a of every kernel text emitted for a computation: the
- * reference walk kernel, then the direct and packed kernels of each
- * enumerated plan on `intr`, in enumeration order.
+ * The reference walk kernel, then the direct and packed kernels of
+ * each enumerated plan on `intr`, in enumeration order.
  */
-std::uint64_t
+EmittedHashes
 emittedKernelsHash(const TensorComputation &comp, const Intrinsic &intr)
 {
     std::vector<DataType> dtypes;
@@ -269,9 +297,11 @@ emittedKernelsHash(const TensorComputation &comp, const Intrinsic &intr)
     dtypes.push_back(comp.output().dtype());
     auto walk = compileReferenceWalk(comp);
     require(walk.has_value(), "no reference walk for ", comp.name());
-    std::string all =
+    EmittedHashes h;
+    h.reference = fnv1a(
         generateWalkKernelC(*walk, comp.combine(), comp.inputs().size(),
-                            "golden reference", dtypes);
+                            "golden reference", dtypes));
+    std::string all;
     for (const auto &plan : enumeratePlans(comp, intr, {})) {
         ExecPlan ep(plan);
         if (!ep.compiled())
@@ -280,7 +310,8 @@ emittedKernelsHash(const TensorComputation &comp, const Intrinsic &intr)
         all += generateDirectKernelC(ep, "golden direct " + sig);
         all += generatePackedKernelC(ep, "golden packed " + sig);
     }
-    return fnv1a(all);
+    h.mapped = fnv1a(all);
+    return h;
 }
 
 TEST(JitCodegen, EmittedKernelTextIsStable)
@@ -289,32 +320,39 @@ TEST(JitCodegen, EmittedKernelTextIsStable)
     // of the plan tables they read must not move a single byte, or
     // every cached .so and the set-up cost of a warm process change.
     // The goldens cover every operator kind on wmmaTiny (padded,
-    // empty, linear and digit-decoded groups) and the benchmark's
-    // fixed kernels, including the typed int8 emitters.
+    // empty, linear and carried groups) and the benchmark's fixed
+    // kernels, including the typed int8 emitters. The reference
+    // column predates the clamp and carry levels of the nest emitter:
+    // a walk plan with neither emits the same text as before them.
     ops::ConvParams conv{1, 8, 16, 14, 14, 3, 3, 1, 1, DataType::F16};
-    const std::vector<std::pair<std::string, std::uint64_t>> golden = {
-        {"GMV", 0xe5c42546288afea2ULL},
-        {"GMM", 0x45d316cbd6c7edfdULL},
-        {"C1D", 0xeefcc7bfee64a7c7ULL},
-        {"C2D", 0xb8028c1781259880ULL},
-        {"C3D", 0xc09d147defb3288cULL},
-        {"T2D", 0xf9921b214ff64156ULL},
-        {"GRP", 0xfc0d1f0a1bd37b74ULL},
-        {"DIL", 0x50c9ccad001574e3ULL},
-        {"DEP", 0xe2cee60304f14e6dULL},
-        {"CAP", 0x58c021e69237303eULL},
-        {"BCV", 0x7e013c39b78e00a6ULL},
-        {"GFC", 0xb3863ae6a19b32c3ULL},
-        {"MEN", 0x20511cdc068776f7ULL},
-        {"VAR", 0x8378dad8421ce505ULL},
-        {"SCN", 0x8e3590d199daee7bULL},
-        {"bench_gemm", 0xa715bd384db7ac71ULL},
-        {"bench_conv2d", 0x1829c352fd20bf74ULL},
-        {"bench_gemv", 0x332817b96f3b8109ULL},
-        {"bench_gemm_i8", 0xb3e25669cc2bb800ULL},
-        {"bench_conv2d_i8", 0x6c9e11283a781964ULL},
+    struct Golden
+    {
+        const char *name;
+        std::uint64_t reference, mapped;
     };
-    std::vector<std::uint64_t> actual;
+    const std::vector<Golden> golden = {
+        {"GMV", 0x695ee9c1e2309692ULL, 0xc1f32d70af151f9bULL},
+        {"GMM", 0xcb747b7f91a5d7d5ULL, 0x14fd74615d60725fULL},
+        {"C1D", 0xa0d86998a3438cf6ULL, 0xb7cbfe2c9393618dULL},
+        {"C2D", 0x9934a5be5bbafa34ULL, 0xd9b427fd00c759a3ULL},
+        {"C3D", 0x762d27335e8b30e0ULL, 0x54904e03537ad5f7ULL},
+        {"T2D", 0x9934a5be5bbafa34ULL, 0xb8694ec0af9f17f2ULL},
+        {"GRP", 0x8b6661b3493a274aULL, 0x848f9711354a932bULL},
+        {"DIL", 0xbe5f8c69a8b22085ULL, 0xdd476d98ed2321baULL},
+        {"DEP", 0x6823102f72979843ULL, 0xac848e5a25f51a60ULL},
+        {"CAP", 0x8920a7e64a251d1bULL, 0xec96aa3cc610ade5ULL},
+        {"BCV", 0x8ef2f11d2e4e1f40ULL, 0x53d8b39fec9e079bULL},
+        {"GFC", 0xb457756ca9825c27ULL, 0xf5e6d28f72e57ecaULL},
+        {"MEN", 0x5e22196ebff9eca6ULL, 0x0a8b5295b1af0628ULL},
+        {"VAR", 0x07608e428f426dcfULL, 0x29adee2c93b5b86cULL},
+        {"SCN", 0x7565be248293bf4dULL, 0xf7e162d45794c2b3ULL},
+        {"bench_gemm", 0x73063d7b767b13b9ULL, 0x435765c4df5fac35ULL},
+        {"bench_conv2d", 0xdc15f0c5fb1d8cc9ULL, 0x814cfd9eb4efbb84ULL},
+        {"bench_gemv", 0xc48b961be3e12508ULL, 0x1fe462cfbba31f76ULL},
+        {"bench_gemm_i8", 0x126fbb2db10d0708ULL, 0xfbb5297445bcf50fULL},
+        {"bench_conv2d_i8", 0x24b0a293556c1c3aULL, 0xf374844933d43264ULL},
+    };
+    std::vector<EmittedHashes> actual;
     for (auto kind : ops::allOpKinds())
         actual.push_back(
             emittedKernelsHash(makeSmallOp(kind), isa::wmmaTiny()));
@@ -329,9 +367,44 @@ TEST(JitCodegen, EmittedKernelTextIsStable)
     actual.push_back(emittedKernelsHash(
         ops::makeQuantizedConv2d(conv), isa::maliDot()));
     ASSERT_EQ(actual.size(), golden.size());
-    for (std::size_t i = 0; i < golden.size(); ++i)
-        EXPECT_EQ(actual[i], golden[i].second)
-            << golden[i].first << ": 0x" << std::hex << actual[i];
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        EXPECT_EQ(actual[i].reference, golden[i].reference)
+            << golden[i].name << " reference: 0x" << std::hex
+            << actual[i].reference;
+        EXPECT_EQ(actual[i].mapped, golden[i].mapped)
+            << golden[i].name << " mapped: 0x" << std::hex
+            << actual[i].mapped;
+    }
+}
+
+TEST(JitCodegen, MappedKernelsNeverDivide)
+{
+    // Carry levels step their digits with compares and adds, and
+    // clamps subtract: no emitted mapped kernel divides, anywhere
+    // outside its comments, for any plan of any operator kind.
+    auto stripComments = [](std::string src) {
+        for (std::size_t at; (at = src.find("/*")) != std::string::npos;)
+            src.erase(at, src.find("*/", at) + 2 - at);
+        return src;
+    };
+    int carried = 0;
+    for (auto kind : ops::allOpKinds()) {
+        TensorComputation comp = makeSmallOp(kind);
+        for (const auto &plan : enumeratePlans(comp, isa::wmmaTiny(), {})) {
+            SCOPED_TRACE(plan.mapping().signature(comp));
+            ExecPlan ep(plan);
+            ASSERT_TRUE(ep.compiled()) << ep.fallbackReason();
+            carried += !ep.lowered(ExecPlan::Sweep::Direct).carries.empty();
+            for (const std::string &src :
+                 {generateDirectKernelC(ep, "a % b / c"),
+                  generatePackedKernelC(ep, "a % b / c")}) {
+                const std::string code = stripComments(src);
+                EXPECT_EQ(code.find('%'), std::string::npos) << src;
+                EXPECT_EQ(code.find('/'), std::string::npos) << src;
+            }
+        }
+    }
+    EXPECT_GT(carried, 0);
 }
 
 TEST(JitTier, QuantizedMappedPathsBitExact)
@@ -492,6 +565,77 @@ TEST(JitCache, MissingCompilerReportsWhy)
     EXPECT_FALSE(engine.compilerAvailable());
 }
 
+/** The pid of a child that has exited and been reaped. */
+pid_t
+reapedPid()
+{
+    pid_t child = ::fork();
+    if (child == 0)
+        ::_exit(0);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+    return child;
+}
+
+TEST(JitCache, DeadCompilersTempsAreSwept)
+{
+    // The engine names its source and object temps in
+    // writeFileAtomic's form (`.tmp.<pid>.<n>`) and sweeps the cache
+    // dir once: a reaped child's temps are removed, a live pid's are
+    // kept. A fake compiler records the paths it is handed, so the
+    // names themselves are checked against that form.
+    JitOptions opts = scratchOptions("orphans");
+    std::filesystem::create_directories(opts.cacheDir);
+    const std::string dir = opts.cacheDir + "/";
+    const pid_t dead = reapedPid();
+    ASSERT_GT(dead, 0);
+    const std::string live = std::to_string(::getpid());
+    const std::string stem = dir + "amos_jit_00000000000000ab";
+    const std::vector<std::string> orphans = {
+        stem + ".c.tmp." + std::to_string(dead) + ".0",
+        stem + ".so.tmp." + std::to_string(dead) + ".1"};
+    const std::string kept = stem + ".c.tmp." + live + ".7";
+    for (const auto &path : orphans)
+        std::ofstream(path) << "x";
+    std::ofstream(kept) << "x";
+    opts.compiler = dir + "fake-cc";
+    {
+        std::ofstream cc(opts.compiler);
+        cc << "#!/bin/sh\necho \"$@\" > " << dir << "args\nexit 1\n";
+    }
+    std::filesystem::permissions(opts.compiler,
+                                 std::filesystem::perms::owner_all);
+
+    auto &removed =
+        MetricsRegistry::global().counter("jit.orphan_temps_removed");
+    const std::uint64_t before = removed.value();
+    JitEngine engine(opts);
+    std::string why;
+    EXPECT_EQ(engine.getOrCompile(tinyKernel("orphans"), &why), nullptr);
+    EXPECT_NE(why.find("exit 1"), std::string::npos) << why;
+    for (const auto &path : orphans)
+        EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    EXPECT_TRUE(std::filesystem::exists(kept));
+    EXPECT_EQ(removed.value(), before + orphans.size());
+
+    std::ifstream argsFile(dir + "args");
+    std::string args((std::istreambuf_iterator<char>(argsFile)),
+                     std::istreambuf_iterator<char>());
+    const std::string key = cachePathStem(engine, tinyKernel("orphans"));
+    const std::string tmp = ".tmp." + live + ".";
+    EXPECT_NE(args.find("-o " + key + ".so" + tmp), std::string::npos)
+        << args;
+    EXPECT_NE(args.find("-x c " + key + ".c" + tmp), std::string::npos)
+        << args;
+    // The failed compile cleaned up after itself.
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().string();
+        EXPECT_TRUE(name.find(".tmp.") == std::string::npos || name == kept)
+            << name;
+    }
+    std::filesystem::remove_all(opts.cacheDir);
+}
+
 TEST(JitCache, KeysSeparateConfigurations)
 {
     JitOptions a = scratchOptions("keys");
@@ -535,7 +679,7 @@ TEST(JitTier, UnlinkedHookFallsBackToWalk)
     for (const auto &b : inputs)
         ptrs.push_back(&b);
 
-    setReferenceJitHook(nullptr);
+    setJitHooks(nullptr);
     auto &fallbacks =
         MetricsRegistry::global().counter("exec.jit_fallback");
     const std::uint64_t before = fallbacks.value();
@@ -547,6 +691,13 @@ TEST(JitTier, UnlinkedHookFallsBackToWalk)
     EXPECT_EQ(report.engine, "walk");
     EXPECT_EQ(report.jitFallback, "jit tier not linked");
     EXPECT_EQ(fallbacks.value(), before + 1);
+    // The mapped paths read the same registry.
+    auto plans = enumeratePlans(gemm, isa::wmmaTiny(), {});
+    ASSERT_EQ(plans.size(), 1u);
+    Buffer mapped(gemm.output());
+    ExecReport direct = executeMappedDirect(plans[0], ptrs, mapped, jit);
+    EXPECT_EQ(direct.engine, "walk");
+    EXPECT_EQ(direct.jitFallback, "jit tier not linked");
 
     jit::ensureLinked();
     Buffer out2(gemm.output());
@@ -554,6 +705,22 @@ TEST(JitTier, UnlinkedHookFallsBackToWalk)
     if (jitCompilerUsable())
         EXPECT_EQ(restored.engine, "jit") << restored.jitFallback;
     EXPECT_EQ(out.maxAbsDiff(out2), 0.0f);
+}
+
+TEST(Codegen, RejectsInvalidPlan)
+{
+    // The kernel emitters lower only compiled plans: an invalid
+    // mapping's ExecPlan names why, and both emitters refuse it.
+    ops::ConvParams pr{2, 2, 4, 2, 3, 2, 2, 1, 1, DataType::F16};
+    auto conv = ops::makeConv2d(pr);
+    ComputeMapping m;
+    m.groups = {{0, 1}, {}, {4, 5, 6}};
+    MappingPlan plan(conv, isa::wmmaTiny(), m);
+    ASSERT_FALSE(plan.valid());
+    ExecPlan ep(plan);
+    EXPECT_FALSE(ep.compiled());
+    EXPECT_THROW(generateDirectKernelC(ep, "invalid"), PanicError);
+    EXPECT_THROW(generatePackedKernelC(ep, "invalid"), PanicError);
 }
 
 TEST(JitTier, FuzzedNonAffineAccessFallsThrough)
